@@ -7,6 +7,7 @@ time evolution with conserved quantities, and soliton scattering.
 
 from .bbs import (
     BbsState,
+    CarrierError,
     CarrierTrace,
     conserved_tableaux,
     energy_e,

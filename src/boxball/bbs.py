@@ -112,34 +112,72 @@ class CarrierTrace:
     site_energies: tuple[int, ...]
 
 
+class _Transducer:
+    """R on carrier ⊗ column for one sweep, evaluated once per distinct pair.
+
+    For fixed (n, k, l) a sweep is a finite-state transducer whose states are
+    carriers.  Carriers are interned to ints, 0 being the rest value, and the
+    table ``(carrier id, column rows) -> (output, next carrier id, H)`` fills
+    on misses only.  The table lives for one ``evolve`` call, so it never sees
+    two alphabets: tableau equality ignores ``n``.
+    """
+
+    __slots__ = ("carriers", "_ids", "_table")
+
+    def __init__(self, n: int, k: int, l: int):
+        rest = vacuum_block(k, l, n)
+        self.carriers = [rest]
+        self._ids = {rest.rows: 0}
+        self._table: dict = {}
+
+    def step(self, cid: int, column: SemiStandardTableau) -> tuple[SemiStandardTableau, int, int]:
+        key = (cid, column.rows)
+        hit = self._table.get(key)
+        if hit is None:
+            # apply_r is looked up in the module globals on every miss, so a
+            # patched or traced R sees each evaluation.
+            out, carrier, h = apply_r(self.carriers[cid], column)
+            nid = self._ids.get(carrier.rows)
+            if nid is None:
+                nid = self._ids[carrier.rows] = len(self.carriers)
+                self.carriers.append(carrier)
+            hit = self._table[key] = (out, nid, h)
+        return hit
+
+
 def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
     """One time step of the width-l evolution.
 
     The window is extended with vacuum on the right until the carrier is back
-    at rest, which is guaranteed within k * support + l extra sites; the
-    result is re-canonicalized with its offset updated.
+    at rest.  Sites are numbered from 0 at the first stored column; a carrier
+    still away from rest past site support*(k+1) + l + 8 raises
+    :class:`CarrierError`.  The result is re-canonicalized with its offset
+    updated.  R is evaluated once per distinct (carrier, column) pair of the
+    sweep.
     """
     if l < 1:
         raise ValueError("carrier width must be positive")
-    rest = vacuum_block(p.k, l, p.n)
+    transducer = _Transducer(p.n, p.k, l)
     vac = vacuum_column(p.k, p.n)
-    carrier = rest
-    carriers = [carrier]
+    cols = p.columns
+    cid = 0
+    ids = [cid]
     outputs: list[SemiStandardTableau] = []
     energies: list[int] = []
-    limit = len(p.columns) * (p.k + 1) + l + 8
+    limit = len(cols) * (p.k + 1) + l + 8
     site = 0
-    while site < len(p.columns) or carrier != rest:
+    while site < len(cols) or cid:
         if site > limit:
             raise CarrierError(f"carrier did not stabilize within {limit} sites")
-        b = p.columns[site] if site < len(p.columns) else vac
-        out, carrier, h = apply_r(carrier, b)
+        b = cols[site] if site < len(cols) else vac
+        out, cid, h = transducer.step(cid, b)
         outputs.append(out)
-        carriers.append(carrier)
+        ids.append(cid)
         energies.append(h)
         site += 1
     new_state = BbsState(p.n, p.k, p.offset, outputs)
-    return new_state, CarrierTrace(tuple(carriers), tuple(outputs), tuple(energies))
+    carriers = tuple(transducer.carriers[i] for i in ids)
+    return new_state, CarrierTrace(carriers, tuple(outputs), tuple(energies))
 
 
 def energy_e(p: BbsState, l: int) -> int:
@@ -272,27 +310,31 @@ def _parse_header(line: str) -> tuple[int, int, int]:
     m = _HEADER.match(line.strip())
     if m is None:
         raise StateParseError("expected header 'n=<int> k=<int> offset=<int>'", 1, 1)
-    return int(m.group(1)), int(m.group(2)), int(m.group(3))
+    n, k, offset = int(m.group(1)), int(m.group(2)), int(m.group(3))
+    if not 1 <= k < n:
+        raise StateParseError(f"need 1 <= k < n, got k={k}, n={n}", 1, 1)
+    return n, k, offset
 
 
 def _parse_columns(line: str, n: int, k: int, lineno: int) -> list[SemiStandardTableau]:
+    # Equal tokens share one validated tableau.
+    seen = {".": vacuum_column(k, n)}
     cols = []
     for m in re.finditer(r"\S+", line):
         token, column = m.group(), m.start() + 1
-        if token == ".":
-            cols.append(vacuum_column(k, n))
-            continue
-        parts = token.split("/")
-        if len(parts) != k:
-            raise StateParseError(f"column {token!r} needs {k} entries", lineno, column)
-        try:
-            entries = [int(x) for x in parts]
-        except ValueError:
-            raise StateParseError(f"bad letter in column {token!r}", lineno, column) from None
-        try:
-            cols.append(SemiStandardTableau.column(entries, n))
-        except TableauError as exc:
-            raise StateParseError(str(exc), lineno, column) from None
+        if token not in seen:
+            parts = token.split("/")
+            if len(parts) != k:
+                raise StateParseError(f"column {token!r} needs {k} entries", lineno, column)
+            try:
+                entries = [int(x) for x in parts]
+            except ValueError:
+                raise StateParseError(f"bad letter in column {token!r}", lineno, column) from None
+            try:
+                seen[token] = SemiStandardTableau.column(entries, n)
+            except TableauError as exc:
+                raise StateParseError(str(exc), lineno, column) from None
+        cols.append(seen[token])
     return cols
 
 

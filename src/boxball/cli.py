@@ -1,7 +1,8 @@
 """Command-line interface: evolve states, inspect conserved data, run
 scattering experiments, and drive seeded invariant checks.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure or a carrier that failed to
+return to rest, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from . import sampling
 from .bbs import (
     BbsState,
+    CarrierError,
     StateParseError,
     energy_e,
     evolve,
@@ -133,10 +135,14 @@ def cmd_rmatrix(cfg: RunConfig) -> int:
         raise UsageError("--left and --right are required")
     n = cfg.alphabet
     if n is None:
-        letters = [int(tok) for text in (cfg.left, cfg.right) for tok in text.replace("/", " ").split()]
-        n = max(letters)
+        try:
+            n = max(int(tok) for text in (cfg.left, cfg.right) for tok in text.replace("/", " ").split())
+        except ValueError:
+            raise UsageError("--left and --right need integer letters") from None
     x = SemiStandardTableau.parse(cfg.left, n)
     y = SemiStandardTableau.parse(cfg.right, n)
+    if not (x.is_rectangular and y.is_rectangular):
+        raise UsageError("--left and --right must be rectangular tableaux")
     res = apply_r(x, y)
     print(f"left_out = {res.left_out}")
     print(f"right_out = {res.right_out}")
@@ -373,6 +379,9 @@ def main(argv=None) -> int:
     except (StateParseError, TableauError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CarrierError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -2,9 +2,14 @@ import random
 
 import pytest
 
+import boxball.bbs as bbs_mod
 from boxball import (
     BbsState,
+    CarrierError,
+    CarrierTrace,
+    RResult,
     SemiStandardTableau,
+    apply_r,
     conserved_tableaux,
     energy_e,
     evolve,
@@ -108,6 +113,78 @@ class TestEvolveGoldens:
             _, trace = evolve(p, l)
             rest = vacuum_block(k, l, n)
             assert not trace.carriers or (trace.carriers[0] == rest and trace.carriers[-1] == rest)
+
+
+def reference_evolve(p, l):
+    """The defining sweep: R evaluated afresh at every site."""
+    rest = vacuum_block(p.k, l, p.n)
+    carrier = rest
+    carriers, outputs, energies = [rest], [], []
+    site = 0
+    while site < len(p.columns) or carrier != rest:
+        assert site <= len(p.columns) * (p.k + 1) + l + 8
+        out, carrier, h = apply_r(carrier, p.column_at(p.offset + site))
+        carriers.append(carrier)
+        outputs.append(out)
+        energies.append(h)
+        site += 1
+    trace = CarrierTrace(tuple(carriers), tuple(outputs), tuple(energies))
+    return BbsState(p.n, p.k, p.offset, outputs), trace
+
+
+def assert_matches_reference(p, l):
+    q, trace = evolve(p, l)
+    q_ref, trace_ref = reference_evolve(p, l)
+    assert q == q_ref
+    assert trace == trace_ref
+    # Equality ignores the alphabet bound, so check it separately.
+    assert all(t.n == p.n for t in trace.carriers + trace.outputs)
+
+
+class TestTransducer:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_per_site_sweep(self, n):
+        rng = random.Random(1000 + n)
+        for k in range(1, n):
+            for l in range(1, 6):
+                for _ in range(3):
+                    assert_matches_reference(random_state(rng, n, k, 15), l)
+
+    def test_one_r_evaluation_per_distinct_pair(self, monkeypatch):
+        rng = random.Random(7)
+        p = BbsState(5, 2, 0, [vacuum_column(2, 5)] * 3 + list(random_state(rng, 5, 2, 40).columns) * 3)
+        _, trace = reference_evolve(p, 3)
+        pairs = {
+            (trace.carriers[site].rows, p.column_at(p.offset + site).rows)
+            for site in range(len(trace.outputs))
+        }
+        calls = []
+
+        def counting_r(x, y):
+            calls.append((x.rows, y.rows))
+            return apply_r(x, y)
+
+        monkeypatch.setattr(bbs_mod, "apply_r", counting_r)
+        assert evolve(p, 3)[1] == trace
+        assert len(calls) == len(set(calls))
+        assert set(calls) == pairs
+        assert len(pairs) < len(trace.outputs)
+
+    def test_equal_fillings_over_different_alphabets(self):
+        for text in ("n=3 k=1 offset=0\n3 3 2\n", "n=4 k=1 offset=0\n3 3 2\n",
+                     "n=3 k=1 offset=0\n3 3 2\n"):
+            p = parse_state(text)
+            for l in (1, 3):
+                assert_matches_reference(p, l)
+
+    def test_carrier_error_at_the_stated_bound(self, monkeypatch):
+        # An R whose carrier never comes back to rest trips the guard once
+        # the sweep passes support*(k+1) + l + 8 sites.
+        stuck = SemiStandardTableau.column([3], 3)
+        monkeypatch.setattr(bbs_mod, "apply_r", lambda x, y: RResult(y, stuck, 0))
+        p = parse_state("n=3 k=1 offset=0\n3 3 2\n")
+        with pytest.raises(CarrierError, match="within 15 sites"):
+            evolve(p, 1)
 
 
 class TestEnergy:
@@ -301,6 +378,20 @@ class TestTextFormat:
         with pytest.raises(StateParseError) as err:
             parse_state("n=4 k=2 offset=0\n2/1\n")
         assert err.value.line == 2
+
+    def test_header_needs_k_below_n(self):
+        for header in ("n=3 k=3 offset=0", "n=3 k=4 offset=0", "n=3 k=0 offset=0"):
+            with pytest.raises(StateParseError) as err:
+                parse_state(header + "\n\n")
+            assert err.value.line == 1
+
+    def test_equal_tokens_share_one_tableau(self):
+        p = parse_state("n=4 k=2 offset=0\n2/4 . 1/3 2/4 . 2/4\n")
+        assert p.columns[0] is p.columns[3] is p.columns[5]
+        assert p.columns[1] is vacuum_column(2, 4)
+        with pytest.raises(StateParseError) as err:
+            parse_state("n=4 k=2 offset=0\n2/4 2/4 2/5 2/4 2/5\n")
+        assert (err.value.line, err.value.column) == (2, 9)
 
     def test_single_state_enforced(self):
         with pytest.raises(StateParseError):

@@ -1,6 +1,6 @@
 import pytest
 
-from boxball import RResult, parse_state, parse_trajectory
+from boxball import CarrierError, RResult, parse_state, parse_trajectory
 from boxball.cli import main
 from conftest import INTRO_K1_TEXT, INTRO_K2_TEXT, SPECTRUM_TEXTS, THREE_SOLITON_TEXT
 
@@ -218,6 +218,34 @@ class TestUsageErrors:
         code, _, err = run(capsys, "evolve", "--input", path)
         assert code == 2
         assert "line 2" in err
+
+    def test_header_k_not_below_n(self, capsys, state_file):
+        path = state_file("n=3 k=3 offset=0\n\n")
+        code, _, err = run(capsys, "evolve", "--input", path)
+        assert code == 2
+        assert err.startswith("error: line 1")
+
+    def test_rmatrix_non_integer_letter(self, capsys):
+        code, _, err = run(capsys, "rmatrix", "--left", "1 x", "--right", "2")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_rmatrix_non_rectangular(self, capsys):
+        code, _, err = run(capsys, "rmatrix", "--left", "1 2 / 3", "--right", "2")
+        assert code == 2
+        assert err.startswith("error:") and "rectangular" in err
+
+    def test_carrier_error_is_reported(self, capsys, monkeypatch, state_file):
+        import boxball.cli as cli_mod
+
+        def stuck(p, l):
+            raise CarrierError("carrier did not stabilize within 9 sites")
+
+        monkeypatch.setattr(cli_mod, "evolve", stuck)
+        path = state_file(INTRO_K1_TEXT)
+        code, out, err = run(capsys, "evolve", "--input", path)
+        assert (code, out) == (1, "")
+        assert err == "error: carrier did not stabilize within 9 sites\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
