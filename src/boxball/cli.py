@@ -25,7 +25,7 @@ from .bbs import (
     soliton_spectrum,
     vacuum_column,
 )
-from .insertion import knuth_equivalent, rectify
+from .insertion import knuth_equivalent, knuth_neighbors, rectify
 from .rmatrix import apply_r, oracle_r, yang_baxter_holds
 from .soliton import SolitonDetectionError, detect, run_experiment
 from .tableau import SemiStandardTableau, TableauError, enumerate_tableaux, restrict
@@ -66,7 +66,11 @@ def _load_state(path: str | None) -> BbsState:
     if not path:
         raise UsageError("--input is required")
     with open(path, encoding="utf-8") as fh:
-        return parse_state(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_state(text)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -253,7 +257,7 @@ def _inv_knuth(rng, trials):
         w = sampling.random_word(rng, 8, n)
         v = w
         for _ in range(rng.randint(0, 4)):
-            moves = _knuth_neighbors(v)
+            moves = knuth_neighbors(v)
             if not moves:
                 break
             v = rng.choice(moves)
@@ -262,17 +266,6 @@ def _inv_knuth(rng, trials):
             for j in range(1, n + 1)
         )
         yield ok, None if ok else f"w = {w}\nv = {v}\n"
-
-
-def _knuth_neighbors(w):
-    out = []
-    for i in range(len(w) - 2):
-        p, q, r = w[i], w[i + 1], w[i + 2]
-        if q < p <= r or r < p <= q:
-            out.append(w[:i] + (p, r, q) + w[i + 3:])
-        if p <= r < q or q <= r < p:
-            out.append(w[:i] + (q, p, r) + w[i + 3:])
-    return out
 
 
 _INVARIANT_RUNNERS = {

@@ -19,40 +19,61 @@ def _check_letter(a: int, n: int) -> None:
         raise TableauError(f"letter {a} outside 1..{n}")
 
 
-def _bump(rows: list[list[int]], a: int) -> tuple[int, int]:
-    """Row-insert ``a`` into mutable rows; return the 1-based cell of the new box.
+def _bump(rows: list[list[int]], letters: Iterable[int]) -> int:
+    """Row-insert the letters, in order, into mutable rows; return the 0-based
+    row of the box the last letter added.
 
     At each row the incoming letter replaces the leftmost entry strictly
     larger than it (equal entries are passed over) and the replaced entry
     drops to the next row; with nothing larger, the letter lands at the end.
     """
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([a])
-            return r + 1, 1
-        row = rows[r]
-        if row[-1] <= a:
-            row.append(a)
-            return r + 1, len(row)
-        i = bisect_right(row, a)
-        a, row[i] = row[i], a
-        r += 1
+    r = -1
+    for a in letters:
+        r = 0
+        while True:
+            if r == len(rows):
+                rows.append([a])
+                break
+            row = rows[r]
+            if row[-1] <= a:
+                row.append(a)
+                break
+            i = bisect_right(row, a)
+            a, row[i] = row[i], a
+            r += 1
+    return r
+
+
+def _unbump(rows: list[list[int]], r: int) -> int:
+    """Reverse :func:`_bump`: remove the last box of row ``r`` (0-based) from
+    mutable rows and return the letter it ejects from the first row.
+
+    The removed value climbs row by row, each time swapping with the
+    rightmost entry strictly smaller than it.
+    """
+    v = rows[r].pop()
+    for i in range(r - 1, -1, -1):
+        row = rows[i]
+        j = bisect_left(row, v) - 1
+        v, row[j] = row[j], v
+    return v
 
 
 def insert_letter(t: SemiStandardTableau, a: int) -> InsertionOutcome:
-    _check_letter(int(a), t.n)
+    a = int(a)
+    _check_letter(a, t.n)
     rows = [list(row) for row in t.rows]
-    cell = _bump(rows, int(a))
-    return InsertionOutcome(SemiStandardTableau(rows, t.n, validate=False), cell)
+    r = _bump(rows, (a,))
+    return InsertionOutcome(SemiStandardTableau(rows, t.n, validate=False), (r + 1, len(rows[r])))
 
 
 def insert_word(t: SemiStandardTableau, word: Iterable[int]) -> SemiStandardTableau:
     """Fold of :func:`insert_letter` over the word, left to right."""
+    letters = [int(a) for a in word]
+    for a in letters:
+        _check_letter(a, t.n)
     rows = [list(row) for row in t.rows]
-    for a in word:
-        _check_letter(int(a), t.n)
-        _bump(rows, int(a))
+    _bump(rows, letters)
     return SemiStandardTableau(rows, t.n, validate=False)
 
 
@@ -69,21 +90,15 @@ def outer_corners(t: SemiStandardTableau) -> list[tuple[int, int]]:
 def uninsert(t: SemiStandardTableau, corner: tuple[int, int]) -> tuple[SemiStandardTableau, int]:
     """Reverse one row insertion, removing the box at ``corner``.
 
-    The removed value climbs row by row, each time swapping with the
-    rightmost entry strictly smaller than it; the letter ejected from the
-    first row is returned alongside the shrunken tableau.
+    The letter ejected from the first row is returned alongside the shrunken
+    tableau.
     """
     if corner not in outer_corners(t):
         raise ValueError(f"{corner} is not an outer corner of shape {t.shape}")
-    r, _ = corner
     rows = [list(row) for row in t.rows]
-    v = rows[r - 1].pop()
-    if not rows[r - 1]:
+    v = _unbump(rows, corner[0] - 1)
+    if not rows[-1]:
         rows.pop()
-    for i in range(r - 2, -1, -1):
-        row = rows[i]
-        j = bisect_left(row, v) - 1
-        v, row[j] = row[j], v
     return SemiStandardTableau(rows, t.n, validate=False), v
 
 
@@ -98,6 +113,18 @@ def rectify(word: Iterable[int], n: int | None = None) -> SemiStandardTableau:
 def knuth_equivalent(u: Iterable[int], v: Iterable[int]) -> bool:
     """Words are Knuth-equivalent exactly when their rectifications agree."""
     return rectify(u).rows == rectify(v).rows
+
+
+def knuth_neighbors(w: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All words one elementary Knuth transposition away (both directions)."""
+    out = []
+    for i in range(len(w) - 2):
+        p, q, r = w[i], w[i + 1], w[i + 2]
+        if q < p <= r or r < p <= q:
+            out.append(w[:i] + (p, r, q) + w[i + 3:])
+        if p <= r < q or q <= r < p:
+            out.append(w[:i] + (q, p, r) + w[i + 3:])
+    return out
 
 
 def tableau_from_row_word(word: Sequence[int], shape: Sequence[int], n: int) -> SemiStandardTableau:

@@ -2,18 +2,17 @@
 an independent brute-force oracle, and Yang-Baxter verification.
 
 ``apply_r`` sends x ⊗ y (shapes l^k and l'^k') to the unique pair x̃ ⊗ ỹ of
-swapped shapes with the same row-insertion product, and reports the energy of
-the input pair.
+swapped shapes with the same row-insertion product, with the energy of x ⊗ y.
+It peels the product in an order fixed by the shapes: no search, no fallback.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-
 from typing import NamedTuple
 
-from .insertion import insert_word, outer_corners, uninsert
-from .tableau import SemiStandardTableau, Shape, enumerate_tableaux
+from .insertion import _bump, _check_letter, _unbump, insert_word
+from .tableau import SemiStandardTableau, Shape, TableauError, enumerate_tableaux
 
 
 class RResult(NamedTuple):
@@ -23,7 +22,7 @@ class RResult(NamedTuple):
 
 
 class RMatrixError(RuntimeError):
-    """The defining insertion identity had no (or no unique) solution."""
+    """R failed: a peel check did not hold, or the oracle found no unique pair."""
 
 
 def insertion_product(x: SemiStandardTableau, y: SemiStandardTableau) -> SemiStandardTableau:
@@ -57,63 +56,63 @@ def energy_h(x: SemiStandardTableau, y: SemiStandardTableau) -> int:
 def apply_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
     """Evaluate the combinatorial R on x ⊗ y.
 
-    The insertion product is peeled by reverse bumping, removing a corner
-    outside the target rectangle at each step (bottom-most first, with
-    backtracking over the removal order); the reversed letters form the row
-    word of the left output, which is verified by forward re-insertion.
-    Falls back to the exhaustive oracle if the search fails.
+    Row-inserts x into y, reverse-bumps the cells outside l^k in the order of
+    :func:`peel_order` and reads the left output off the ejected letters.  A
+    failed check raises :class:`RMatrixError`; ``oracle_r`` is never consulted.
     """
     _check_pair(x, y)
     if x.num_rows == 0 or y.num_rows == 0:
         # Degenerate zero-row component: R swaps, with zero energy.
         return RResult(y, x, 0)
-    k, l = x.num_rows, x.num_cols
-    kp, lp = y.num_rows, y.num_cols
-    product = insertion_product(x, y)
-    h = _energy_from_shape(product.shape, k, l, kp, lp)
-    peeled = _peel(product, k, l, kp, lp)
-    if peeled is not None:
-        left, right = peeled
-        return RResult(left, right, h)
-    return oracle_r(x, y)  # unreachable in practice; kept as a safety net
+    k, l, kp, lp, n = x.num_rows, x.num_cols, y.num_rows, y.num_cols, x.n
+    # Rows and columns increase, so two corners bound every letter of x.
+    _check_letter(x.rows[0][0], n)
+    _check_letter(x.rows[-1][-1], n)
+    rows = [list(row) for row in y.rows]
+    _bump(rows, x.row_word())
+    product = tuple(map(tuple, rows))
+    shape = tuple(map(len, rows))
+    rows.append([])  # the empty row below the last one
+    ejected = []
+    for r, c in peel_order(k, l, kp, lp, shape):
+        if len(rows[r]) != c + 1 or len(rows[r + 1]) > c:
+            raise RMatrixError(f"peel cell ({r + 1},{c + 1}) is not a corner")
+        ejected.append(_unbump(rows, r))
+    try:
+        left = SemiStandardTableau([ejected[s:s + lp][::-1] for s in range(0, kp * lp, lp)], n)
+    except TableauError as exc:
+        raise RMatrixError(f"the peeled letters do not form a tableau: {exc}") from None
+    right = SemiStandardTableau(rows[:k], n, validate=False)
+    if insert_word(right, left.row_word()).rows != product:
+        raise RMatrixError("re-inserting the left output does not give the product back")
+    return RResult(left, right, _energy_from_shape(shape, k, l, kp, lp))
 
 
-def _peel(product, k, l, kp, lp):
-    m = kp * lp
-    target = (l,) * k
-    # Cells of the left output fill in reverse row-word order: top row from
-    # the right, then the next row, and so on.  grid uses 0 for "unfilled".
-    grid = [[0] * lp for _ in range(kp)]
-    order = []
-    for p in range(m, 0, -1):
-        seg, off = divmod(p - 1, lp)
-        order.append((kp - 1 - seg, off))
+def peel_order(k: int, l: int, kp: int, lp: int, shape: Shape) -> list[tuple[int, int]]:
+    """0-based cells of shape/(l^k) in the order the peel of R removes them.
 
-    def dfs(t, step):
-        if step == m:
-            if t.shape != target:
-                return None
-            left = SemiStandardTableau([tuple(row) for row in grid], t.n)
-            if insert_word(t, left.row_word()) == product:
-                return left, t
-            return None
-        r, c = order[step]
-        corners = [rc for rc in outer_corners(t) if rc[0] > k or rc[1] > l]
-        corners.sort(key=lambda rc: -rc[0])
-        for corner in corners:
-            smaller, v = uninsert(t, corner)
-            if c + 1 < lp and grid[r][c + 1] and v > grid[r][c + 1]:
-                continue
-            if r > 0 and v <= grid[r - 1][c]:
-                continue
-            grid[r][c] = v
-            found = dfs(smaller, step + 1)
-            if found is not None:
-                return found
-            grid[r][c] = 0
-        return None
-
-    return dfs(product, 0)
+    Two rectangles multiply without multiplicity, so the one Littlewood–
+    Richardson filling of content (lp^kp) is found greedily: rows from the
+    top, each from the right, each cell taking the largest letter that keeps
+    columns strict, rows weak and the reading word lattice.  Letter j marks
+    the boxes that the j-th inserted row of the left output adds; cells
+    leave in decreasing (letter, column) order.
+    """
+    counts = [lp] + [0] * kp  # counts[0] bounds letter 1 in the lattice test
+    cells = []
+    above = [0] * shape[0]  # per column, the letter of the last cell filled; 0 in l^k
+    for r, length in enumerate(shape):
+        v = kp  # letters weakly decrease leftwards along a row
+        for c in range(length - 1, (l if r < k else 0) - 1, -1):
+            while v > above[c] and counts[v - 1] <= counts[v]:
+                v -= 1
+            if v <= above[c]:
+                raise RMatrixError(f"{shape}/({l}^{k}) has no filling of content ({lp}^{kp})")
+            counts[v] += 1
+            above[c] = v
+            cells.append((v, c, r))
+    cells.sort(reverse=True)
+    return [(r, c) for _, c, r in cells]
 
 
 def oracle_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:

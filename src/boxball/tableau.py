@@ -25,10 +25,13 @@ class SemiStandardTableau:
     __slots__ = ("rows", "n")
 
     def __init__(self, rows: Iterable[Sequence[int]], n: int, *, validate: bool = True):
-        self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(int(a) for a in row) for row in rows)
         self.n = int(n)
         if validate:
+            self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(int(a) for a in row) for row in rows)
             self._validate()
+        else:
+            # Internal callers pass rows of ints that already form a tableau.
+            self.rows = tuple(map(tuple, rows))
 
     def _validate(self) -> None:
         if self.n < 1:

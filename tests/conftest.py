@@ -5,22 +5,11 @@ from __future__ import annotations
 import pytest
 
 from boxball import BbsState, SemiStandardTableau, parse_state
+from boxball.insertion import knuth_neighbors  # noqa: F401  (re-exported for the test modules)
 
 
 def T(text: str, n: int) -> SemiStandardTableau:
     return SemiStandardTableau.parse(text, n)
-
-
-def knuth_neighbors(w: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All words one elementary Knuth transposition away (both directions)."""
-    out = []
-    for i in range(len(w) - 2):
-        p, q, r = w[i], w[i + 1], w[i + 2]
-        if q < p <= r or r < p <= q:
-            out.append(w[:i] + (p, r, q) + w[i + 3:])
-        if p <= r < q or q <= r < p:
-            out.append(w[:i] + (q, p, r) + w[i + 3:])
-    return out
 
 
 # Three-soliton state whose six evolution steps and scattering data are known

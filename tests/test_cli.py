@@ -249,3 +249,10 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_state_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "evolve", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "UTF-8" in err

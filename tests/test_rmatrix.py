@@ -1,10 +1,12 @@
 import random
+import sys
 from itertools import product
 
 import pytest
 
 from boxball import (
     CrystalTensor,
+    RMatrixError,
     RResult,
     SemiStandardTableau,
     apply_r,
@@ -14,7 +16,9 @@ from boxball import (
     oracle_r,
     yang_baxter_holds,
 )
+from boxball import rmatrix
 from boxball.bbs import vacuum_block, vacuum_column
+from boxball.rmatrix import peel_order
 from conftest import T
 
 
@@ -182,3 +186,110 @@ class TestYangBaxter:
         y = T("1 2 / 2 3 / 4 6", 6)
         z = T("1 / 3 / 5", 6)
         assert yang_baxter_holds(x, y, z)
+
+
+def random_rectangle(rng, k, l, n):
+    # Sorting each row across l random columns keeps the columns strictly increasing.
+    cols = [sorted(rng.sample(range(1, n + 1), k)) for _ in range(l)]
+    return SemiStandardTableau([sorted(col[i] for col in cols) for i in range(k)], n)
+
+
+def partitions(total, max_part, max_len):
+    """Partitions of total into at most max_len parts, none above max_part."""
+    if total == 0:
+        yield ()
+    elif max_len:
+        for first in range(min(total, max_part), 0, -1):
+            for rest in partitions(total - first, first, max_len - 1):
+                yield (first,) + rest
+
+
+def lr_fillings(k, l, kp, lp, shape):
+    """Every filling of shape/(l^k) with content (lp^kp), rows weak, columns
+    strict and the reverse reading word a lattice word, found by search."""
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length - 1, (l if r < k else 0) - 1, -1)]
+    filling, counts, found = {}, [0] * (kp + 1), []
+
+    def extend(i):
+        if i == len(cells):
+            found.append(dict(filling))
+            return
+        r, c = cells[i]
+        for v in range(1, kp + 1):
+            if v > filling.get((r, c + 1), kp) or v <= filling.get((r - 1, c), 0):
+                continue
+            if counts[v] == lp or (v > 1 and counts[v - 1] == counts[v]):
+                continue
+            filling[r, c] = v
+            counts[v] += 1
+            extend(i + 1)
+            counts[v] -= 1
+            del filling[r, c]
+
+    extend(0)
+    return found
+
+
+class TestDeterministicPeel:
+    def test_exhaustive_sweep_against_oracle(self):
+        pairs = 0
+        for n in (2, 3, 4):
+            for x in small_rectangles(n, kmax=n - 1, lmax=2):
+                for y in small_rectangles(n, kmax=n - 1, lmax=3):
+                    assert apply_r(x, y) == oracle_r(x, y)
+                    pairs += 1
+        assert pairs == 8505
+
+    def test_peel_order_is_the_unique_lr_filling(self):
+        keys = matched = 0
+        for k, l, kp, lp in product(range(1, 7), repeat=4):
+            if k * l > 6 or kp * lp > 6:
+                continue
+            for shape in partitions(k * l + kp * lp, l + lp, k + kp):
+                if len(shape) < k or shape[k - 1] < l:
+                    continue
+                keys += 1
+                fillings = lr_fillings(k, l, kp, lp, shape)
+                assert len(fillings) <= 1
+                if not fillings:
+                    with pytest.raises(RMatrixError):
+                        peel_order(k, l, kp, lp, shape)
+                    continue
+                matched += 1
+                expected = sorted(fillings[0], key=lambda rc: (fillings[0][rc], rc[1]), reverse=True)
+                assert peel_order(k, l, kp, lp, shape) == expected
+        assert (keys, matched) == (1355, 622)
+
+    @pytest.mark.parametrize("k,l,kp,lp,n", [(1, 1100, 1, 1000, 3), (3, 60, 3, 50, 6)])
+    def test_wide_pairs_need_no_recursion(self, k, l, kp, lp, n):
+        rng = random.Random(k * 1000 + l)
+        x, y = random_rectangle(rng, k, l, n), random_rectangle(rng, kp, lp, n)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            res = apply_r(x, y)
+            back = apply_r(res.left_out, res.right_out)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (back.left_out, back.right_out, back.energy) == (x, y, res.energy)
+        assert res.left_out.content() + res.right_out.content() == x.content() + y.content()
+        assert (res.left_out.shape, res.right_out.shape) == (y.shape, x.shape)
+        assert res.energy == energy_h(x, y)
+
+    @pytest.mark.parametrize("swap,message", [(0, "not a corner"), (2, "do not form a tableau")])
+    def test_wrong_order_raises_without_oracle(self, monkeypatch, swap, message):
+        x = T("1 1 1 1 2 / 2 2 3 3 3 / 4 4 4 5 5", 7)
+        y = T("1 1 2 / 2 3 3 / 5 6 7", 7)
+
+        def swapped(*args):
+            order = peel_order(*args)
+            order[swap:swap + 2] = order[swap + 1], order[swap]
+            return order
+
+        def no_oracle(*args):
+            raise AssertionError("apply_r fell back to oracle_r")
+
+        monkeypatch.setattr(rmatrix, "peel_order", swapped)
+        monkeypatch.setattr(rmatrix, "oracle_r", no_oracle)
+        with pytest.raises(RMatrixError, match=message):
+            apply_r(x, y)

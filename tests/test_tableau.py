@@ -34,6 +34,17 @@ class TestValidation:
         with pytest.raises(TableauError):
             SemiStandardTableau([(0,)], 4)
 
+    def test_public_constructor_normalises_entries(self):
+        t = SemiStandardTableau([["1", 2.0], [True + 1, "3"]], 3)
+        assert t.rows == ((1, 2), (2, 3))
+        assert all(type(a) is int for row in t.rows for a in row)
+        with pytest.raises(ValueError):
+            SemiStandardTableau([["1", "x"]], 3)
+        with pytest.raises(TableauError):
+            SemiStandardTableau([["3", "1"]], 3)
+        with pytest.raises(TableauError):
+            SemiStandardTableau([["1", "4"]], 3)
+
     def test_shape_must_be_partition(self):
         with pytest.raises(TableauError):
             SemiStandardTableau([(1,), (2, 3)], 4)
