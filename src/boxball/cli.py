@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from . import sampling
 from .bbs import (
@@ -32,39 +31,12 @@ from .tableau import SemiStandardTableau, TableauError, enumerate_tableaux, rest
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
-INVARIANTS = ("energy", "commute", "yang-baxter", "r-oracle", "knuth")
-
 
 class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    l: int = 1
-    steps: int | None = None
-    input: str | None = None
-    seed: int = 0
-    trials: int = 100
-    invariant: str | None = None
-    render: bool = False
-    left: str | None = None
-    right: str | None = None
-    alphabet: int | None = None
-
-    def validate(self) -> None:
-        if self.l < 1:
-            raise UsageError("--l must be at least 1")
-        if self.steps is not None and self.steps < 0:
-            raise UsageError("--steps must be nonnegative")
-        if self.trials < 1:
-            raise UsageError("--trials must be at least 1")
-
-
-def _load_state(path: str | None) -> BbsState:
-    if not path:
-        raise UsageError("--input is required")
+def _load_state(path: str) -> BbsState:
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -107,44 +79,41 @@ def render_diagram(states) -> str:
 # -- commands -------------------------------------------------------------
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    state = _load_state(cfg.input)
-    steps = 1 if cfg.steps is None else cfg.steps
+def cmd_evolve(args: argparse.Namespace) -> int:
+    state = _load_state(args.input)
     states = [state]
-    for _ in range(steps):
-        state, _ = evolve(state, cfg.l)
+    for _ in range(args.steps):
+        state, _ = evolve(state, args.l)
         states.append(state)
     sys.stdout.write(format_trajectory(states))
-    if cfg.render:
+    if args.render:
         sys.stdout.write("\n")
         sys.stdout.write(render_diagram(states))
     return EXIT_OK
 
 
-def cmd_energy(cfg: RunConfig) -> int:
-    state = _load_state(cfg.input)
-    print(f"E_{cfg.l}={energy_e(state, cfg.l)}")
+def cmd_energy(args: argparse.Namespace) -> int:
+    state = _load_state(args.input)
+    print(f"E_{args.l}={energy_e(state, args.l)}")
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    state = _load_state(cfg.input)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    state = _load_state(args.input)
     for d, count in sorted(soliton_spectrum(state).items()):
         print(f"N_{d}={count}")
     return EXIT_OK
 
 
-def cmd_rmatrix(cfg: RunConfig) -> int:
-    if not cfg.left or not cfg.right:
-        raise UsageError("--left and --right are required")
-    n = cfg.alphabet
+def cmd_rmatrix(args: argparse.Namespace) -> int:
+    n = args.alphabet
     if n is None:
         try:
-            n = max(int(tok) for text in (cfg.left, cfg.right) for tok in text.replace("/", " ").split())
+            n = max(int(tok) for text in (args.left, args.right) for tok in text.replace("/", " ").split())
         except ValueError:
             raise UsageError("--left and --right need integer letters") from None
-    x = SemiStandardTableau.parse(cfg.left, n)
-    y = SemiStandardTableau.parse(cfg.right, n)
+    x = SemiStandardTableau.parse(args.left, n)
+    y = SemiStandardTableau.parse(args.right, n)
     if not (x.is_rectangular and y.is_rectangular):
         raise UsageError("--left and --right must be rectangular tableaux")
     res = apply_r(x, y)
@@ -169,14 +138,14 @@ def _pair_initial_phases(initial, outgoing):
     return phases
 
 
-def cmd_scatter(cfg: RunConfig) -> int:
-    state = _load_state(cfg.input)
+def cmd_scatter(args: argparse.Namespace) -> int:
+    state = _load_state(args.input)
     try:
         initial = detect(state)
     except SolitonDetectionError as exc:
         print(f"detection failure: {exc}")
         return EXIT_FAIL
-    result = run_experiment(initial, cfg.l, cfg.steps)
+    result = run_experiment(initial, args.l, args.steps)
     sys.stdout.write(format_trajectory(result.states))
     print()
     if result.observed is None:
@@ -277,12 +246,10 @@ _INVARIANT_RUNNERS = {
 }
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    if cfg.invariant not in _INVARIANT_RUNNERS:
-        raise UsageError(f"unknown invariant {cfg.invariant!r}; choose from {', '.join(INVARIANTS)}")
-    rng = random.Random(cfg.seed)
+def cmd_check(args: argparse.Namespace) -> int:
+    rng = random.Random(args.seed)
     passed = total = 0
-    for idx, (ok, detail) in enumerate(_INVARIANT_RUNNERS[cfg.invariant](rng, cfg.trials), 1):
+    for idx, (ok, detail) in enumerate(_INVARIANT_RUNNERS[args.invariant](rng, args.trials), 1):
         total += 1
         if ok:
             passed += 1
@@ -291,18 +258,20 @@ def cmd_check(cfg: RunConfig) -> int:
             if detail:
                 sys.stdout.write(detail if detail.endswith("\n") else detail + "\n")
     verdict = "PASS" if passed == total else "FAIL"
-    print(f"check invariant={cfg.invariant} seed={cfg.seed}: {verdict} {passed}/{total}")
+    print(f"check invariant={args.invariant} seed={args.seed}: {verdict} {passed}/{total}")
     return EXIT_OK if passed == total else EXIT_FAIL
 
 
-_DISPATCH = {
-    "evolve": cmd_evolve,
-    "energy": cmd_energy,
-    "spectrum": cmd_spectrum,
-    "scatter": cmd_scatter,
-    "rmatrix": cmd_rmatrix,
-    "check": cmd_check,
-}
+def _int_at_least(lo: int):
+    """argparse ``type=``: an integer no smaller than ``lo``."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,63 +282,56 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("evolve", help="apply the carrier evolution repeatedly")
+    ev.set_defaults(run=cmd_evolve)
     ev.add_argument("--input", required=True, help="state file")
-    ev.add_argument("--l", type=int, default=1, help="carrier width")
-    ev.add_argument("--steps", type=int, default=1)
+    ev.add_argument("--l", type=_int_at_least(1), default=1, help="carrier width")
+    ev.add_argument("--steps", type=_int_at_least(0), default=1)
     ev.add_argument("--render", action="store_true", help="append an ASCII diagram")
 
     en = sub.add_parser("energy", help="conserved energy of a state")
+    en.set_defaults(run=cmd_energy)
     en.add_argument("--input", required=True)
-    en.add_argument("--l", type=int, default=1)
+    en.add_argument("--l", type=_int_at_least(1), default=1)
 
     spect = sub.add_parser("spectrum", help="soliton counts per length")
+    spect.set_defaults(run=cmd_spectrum)
     spect.add_argument("--input", required=True)
 
     sc = sub.add_parser("scatter", help="scattering experiment: predicted vs observed")
+    sc.set_defaults(run=cmd_scatter)
     sc.add_argument("--input", required=True)
-    sc.add_argument("--l", type=int, default=1)
-    sc.add_argument("--steps", type=int, default=None,
+    sc.add_argument("--l", type=_int_at_least(1), default=1)
+    sc.add_argument("--steps", type=_int_at_least(0), default=None,
                     help="evolution steps (default: run until fully scattered)")
 
     rm = sub.add_parser("rmatrix", help="apply the combinatorial R to a pair")
+    rm.set_defaults(run=cmd_rmatrix)
     rm.add_argument("--left", required=True, help="tableau text form")
     rm.add_argument("--right", required=True)
     rm.add_argument("--n", type=int, default=None, dest="alphabet",
                     help="alphabet bound (default: largest letter present)")
 
     ck = sub.add_parser("check", help="seeded invariant verification")
-    ck.add_argument("--invariant", required=True, choices=INVARIANTS)
-    ck.add_argument("--trials", type=int, default=100)
+    ck.set_defaults(run=cmd_check)
+    ck.add_argument("--invariant", required=True, choices=_INVARIANT_RUNNERS)
+    ck.add_argument("--trials", type=_int_at_least(1), default=100)
     ck.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
+# Built once: parse_args keeps no state between calls.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    cfg = RunConfig(
-        command=args.command,
-        l=getattr(args, "l", 1),
-        steps=getattr(args, "steps", None),
-        input=getattr(args, "input", None),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 100),
-        invariant=getattr(args, "invariant", None),
-        render=getattr(args, "render", False),
-        left=getattr(args, "left", None),
-        right=getattr(args, "right", None),
-        alphabet=getattr(args, "alphabet", None),
-    )
     try:
-        cfg.validate()
-        return _DISPATCH[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (StateParseError, TableauError, OSError) as exc:
+        return args.run(args)
+    except (UsageError, StateParseError, TableauError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CarrierError as exc:

@@ -179,30 +179,31 @@ def enumerate_tableaux(shape: Sequence[int], n: int, weight: dict[int, int] | No
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)) or any(x < 1 for x in shape):
         raise ValueError(f"not a partition shape: {shape}")
     cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
-    remaining = None if weight is None else Counter(weight)
-    if remaining is not None and sum(remaining.values()) != len(cells):
+    if weight is not None and sum(weight.values()) != len(cells):
         return
+    remaining = [len(cells) if weight is None else weight.get(v, 0) for v in range(n + 1)]
     rows = [[0] * length for length in shape]
-
-    def fill(idx: int) -> Iterator[SemiStandardTableau]:
+    # Odometer over the cells in row-major order, so the fillings come out in
+    # lexicographic order, which sampling draws from by index.
+    idx = 0
+    while idx >= 0:
         if idx == len(cells):
             yield SemiStandardTableau([tuple(row) for row in rows], n, validate=False)
-            return
+            idx -= 1
+            continue
         r, c = cells[idx]
-        lo = 1
-        if c:
-            lo = max(lo, rows[r][c - 1])
-        if r:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, n + 1):
-            if remaining is not None and remaining[v] <= 0:
-                continue
+        v = rows[r][c]
+        if v:
+            remaining[v] += 1
+            v += 1
+        else:
+            v = max(rows[r][c - 1] if c else 1, rows[r - 1][c] + 1 if r else 1)
+        while v <= n and remaining[v] <= 0:
+            v += 1
+        if v > n:
+            rows[r][c] = 0
+            idx -= 1
+        else:
             rows[r][c] = v
-            if remaining is not None:
-                remaining[v] -= 1
-            yield from fill(idx + 1)
-            if remaining is not None:
-                remaining[v] += 1
-        rows[r][c] = 0
-
-    yield from fill(0)
+            remaining[v] -= 1
+            idx += 1

@@ -116,6 +116,15 @@ class TestScatter:
         assert code == 0
         assert out.count("match=true") == 2
 
+    def test_auto_steps_after_evolve(self, capsys, state_file):
+        # main parses every call with one shared parser; evolve's --steps
+        # must not leak into the scatter that follows it
+        path = state_file(THREE_SOLITON_TEXT)
+        code, _, _ = run(capsys, "evolve", "--input", path, "--l", "3", "--steps", "2")
+        assert code == 0
+        code, out, _ = run(capsys, "scatter", "--input", path, "--l", "3")
+        assert (code, out) == (0, SCATTER_GOLDEN)
+
     def test_non_soliton_input(self, capsys, state_file):
         path = state_file("n=6 k=3 offset=0\n2/4/6\n")
         code, out, _ = run(capsys, "scatter", "--input", path, "--l", "3")
@@ -208,6 +217,27 @@ class TestUsageErrors:
         code, _, err = run(capsys, "check", "--invariant", "energy", "--trials", "0")
         assert code == 2
         assert "trials" in err
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("evolve", "--l", "0"),
+            ("energy", "--l", "0"),
+            ("scatter", "--l", "0"),
+            ("evolve", "--steps", "-1"),
+            ("scatter", "--steps", "-1"),
+        ],
+    )
+    def test_bound_violation(self, capsys, state_file, command, option, value):
+        path = state_file(THREE_SOLITON_TEXT)
+        code, out, err = run(capsys, command, "--input", path, option, value)
+        assert (code, out) == (2, "")
+        assert option in err
+
+    def test_rmatrix_empty_operand(self, capsys):
+        code, out, err = run(capsys, "rmatrix", "--left", "", "--right", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "evolve", "--input", "/nonexistent/state.txt")

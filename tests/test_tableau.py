@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from itertools import product
 
@@ -169,6 +170,50 @@ class TestEnumeration:
         tabs = list(enumerate_tableaux((2, 2), 4, weight={1: 1, 2: 2, 3: 1}))
         assert all(t.content() == Counter({2: 2, 1: 1, 3: 1}) for t in tabs)
         assert tabs == [T("1 2 / 2 3", 4)]
+
+
+class TestEnumerationOrder:
+    @staticmethod
+    def brute_force(shape, n, weight=None):
+        # every filling in itertools.product order (row-major, first cell
+        # most significant) that forms a tableau with the given content
+        out = []
+        for filling in product(range(1, n + 1), repeat=sum(shape)):
+            if weight is not None and Counter(filling) != Counter(weight):
+                continue
+            rows = [filling[sum(shape[:r]):sum(shape[:r + 1])] for r in range(len(shape))]
+            try:
+                out.append(SemiStandardTableau(rows, n))
+            except TableauError:
+                pass
+        return out
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2)])
+    def test_lexicographic_in_row_major_cells(self, shape):
+        for n in range(1, 5):
+            assert list(enumerate_tableaux(shape, n)) == self.brute_force(shape, n)
+
+    def test_lexicographic_with_weight(self):
+        for shape, n, weight in [
+            ((2, 2), 4, {1: 1, 2: 2, 3: 1}),
+            ((3, 1), 3, {1: 2, 2: 1, 3: 1}),
+            ((2, 1, 1), 4, {1: 1, 2: 1, 3: 1, 4: 1}),
+            ((3, 2), 3, {1: 2, 2: 2, 3: 1}),
+        ]:
+            expected = self.brute_force(shape, n, weight)
+            assert expected
+            assert list(enumerate_tableaux(shape, n, weight)) == expected
+
+    def test_long_row_under_low_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            tabs = list(enumerate_tableaux((1100,), 2))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(tabs) == 1101
+        assert tabs[0].rows == ((1,) * 1100,)
+        assert tabs[-1].rows == ((2,) * 1100,)
 
 
 class TestMutationFuzz:
