@@ -14,6 +14,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 
 from .crystal import CrystalTensor
 from .insertion import rectify
@@ -22,7 +23,7 @@ from .tableau import SemiStandardTableau, TableauError, Word, restrict
 
 
 class CarrierError(RuntimeError):
-    """The carrier failed to return to its rest value within the safety bound."""
+    """The carrier failed to return to its rest value within the bound of :func:`evolve`."""
 
 
 class StateParseError(ValueError):
@@ -112,72 +113,56 @@ class CarrierTrace:
     site_energies: tuple[int, ...]
 
 
-class _Transducer:
-    """R on carrier ⊗ column for one sweep, evaluated once per distinct pair.
-
-    For fixed (n, k, l) a sweep is a finite-state transducer whose states are
-    carriers.  Carriers are interned to ints, 0 being the rest value, and the
-    table ``(carrier id, column rows) -> (output, next carrier id, H)`` fills
-    on misses only.  The table lives for one ``evolve`` call, so it never sees
-    two alphabets: tableau equality ignores ``n``.
-    """
-
-    __slots__ = ("carriers", "_ids", "_table")
-
-    def __init__(self, n: int, k: int, l: int):
-        rest = vacuum_block(k, l, n)
-        self.carriers = [rest]
-        self._ids = {rest.rows: 0}
-        self._table: dict = {}
-
-    def step(self, cid: int, column: SemiStandardTableau) -> tuple[SemiStandardTableau, int, int]:
-        key = (cid, column.rows)
-        hit = self._table.get(key)
-        if hit is None:
-            # apply_r is looked up in the module globals on every miss, so a
-            # patched or traced R sees each evaluation.
-            out, carrier, h = apply_r(self.carriers[cid], column)
-            nid = self._ids.get(carrier.rows)
-            if nid is None:
-                nid = self._ids[carrier.rows] = len(self.carriers)
-                self.carriers.append(carrier)
-            hit = self._table[key] = (out, nid, h)
-        return hit
-
-
 def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
     """One time step of the width-l evolution.
 
-    The window is extended with vacuum on the right until the carrier is back
-    at rest.  Sites are numbered from 0 at the first stored column; a carrier
-    still away from rest past site support*(k+1) + l + 8 raises
-    :class:`CarrierError`.  The result is re-canonicalized with its offset
-    updated.  R is evaluated once per distinct (carrier, column) pair of the
-    sweep.
+    The carrier sweeps the stored columns, then vacuum columns until it is
+    back at rest.  Fed vacuum, a carrier in B^{k,l} is back at rest within l
+    sites (for k = 1, each vacuum site swaps its largest letter for a 1), so
+    a sweep visits at most support + l sites; a carrier still away from rest
+    after them raises :class:`CarrierError`.  The result is re-canonicalized
+    with its offset updated.
+
+    R is evaluated once per distinct (carrier, column) pair of the sweep.
+    Carriers are interned to ints, 0 being the rest value, and the table
+    ``(carrier id, column rows) -> (output, next carrier id, H)`` fills on
+    misses only.  It lives for one call, so it never sees two alphabets:
+    tableau equality ignores ``n``.
     """
     if l < 1:
         raise ValueError("carrier width must be positive")
-    transducer = _Transducer(p.n, p.k, l)
-    vac = vacuum_column(p.k, p.n)
-    cols = p.columns
+    rest = vacuum_block(p.k, l, p.n)
+    carriers = [rest]
+    carrier_ids = {rest.rows: 0}
+    table: dict = {}
+    support = p.support
     cid = 0
-    ids = [cid]
+    ids = [0]
     outputs: list[SemiStandardTableau] = []
     energies: list[int] = []
-    limit = len(cols) * (p.k + 1) + l + 8
-    site = 0
-    while site < len(cols) or cid:
-        if site > limit:
-            raise CarrierError(f"carrier did not stabilize within {limit} sites")
-        b = cols[site] if site < len(cols) else vac
-        out, cid, h = transducer.step(cid, b)
+    for site, b in enumerate(chain(p.columns, repeat(vacuum_column(p.k, p.n), l))):
+        if site >= support and not cid:
+            break
+        key = (cid, b.rows)
+        hit = table.get(key)
+        if hit is None:
+            # apply_r is looked up in the module globals on every miss, so a
+            # patched or traced R sees each evaluation.
+            out, carrier, h = apply_r(carriers[cid], b)
+            nid = carrier_ids.get(carrier.rows)
+            if nid is None:
+                nid = carrier_ids[carrier.rows] = len(carriers)
+                carriers.append(carrier)
+            hit = table[key] = (out, nid, h)
+        out, cid, h = hit
         outputs.append(out)
         ids.append(cid)
         energies.append(h)
-        site += 1
+    if cid:
+        raise CarrierError(f"carrier did not stabilize within {support + l} sites")
     new_state = BbsState(p.n, p.k, p.offset, outputs)
-    carriers = tuple(transducer.carriers[i] for i in ids)
-    return new_state, CarrierTrace(carriers, tuple(outputs), tuple(energies))
+    trace = CarrierTrace(tuple(carriers[i] for i in ids), tuple(outputs), tuple(energies))
+    return new_state, trace
 
 
 def energy_e(p: BbsState, l: int) -> int:
@@ -194,21 +179,19 @@ def soliton_spectrum(p: BbsState) -> dict[int, int]:
     """Counts of solitons per length, solved from the energy sequence.
 
     The increments of l -> E_l are non-increasing and vanish beyond the
-    longest soliton, so the sequence is computed until it stabilizes and the
-    counts are its second differences.
+    longest soliton, which is no longer than the support, so the sequence is
+    computed until it stabilizes, by l = support + 1, and the counts are its
+    second differences.
     """
     if p.is_vacuum():
         return {}
     energies = [0]
-    l = 1
-    cap = len(p.columns) + 2
-    while True:
+    for l in range(1, len(p.columns) + 2):
         energies.append(energy_e(p, l))
         if l >= 2 and energies[-1] == energies[-2]:
             break
-        if l > cap:
-            raise RuntimeError("energy sequence failed to stabilize")
-        l += 1
+    else:
+        raise RuntimeError("energy sequence failed to stabilize")
     spectrum: dict[int, int] = {}
     for d in range(1, len(energies) - 1):
         count = 2 * energies[d] - energies[d - 1] - energies[d + 1]

@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .bbs import BbsState, evolve, vacuum_column
+from .crystal import CrystalTensor, sp, unsplit
 from .rmatrix import apply_r
 from .tableau import SemiStandardTableau
 
@@ -67,10 +68,7 @@ class Soliton:
 
     def decode(self) -> tuple[SemiStandardTableau, ...]:
         """State columns of the run, leftmost first."""
-        t = self.internal
-        return tuple(
-            SemiStandardTableau.column(col, t.n) for col in reversed(t.columns())
-        )
+        return sp(self.internal).factors
 
     def __str__(self) -> str:
         return f"zeta^{self.phase} [{self.internal}]"
@@ -99,10 +97,7 @@ def encode(columns: Sequence[SemiStandardTableau], phase: int = 0) -> Soliton:
         raise ValueError("a soliton run needs at least one column")
     k = cols[0].num_rows
     _check_run(cols, k, phase)
-    internal = SemiStandardTableau.from_columns(
-        [tuple(row[0] for row in t.rows) for t in reversed(cols)], cols[0].n
-    )
-    return Soliton(phase, internal)
+    return Soliton(phase, unsplit(CrystalTensor(cols)))
 
 
 @dataclass(frozen=True)
@@ -319,6 +314,9 @@ class ExperimentResult:
         return self.matches is not None and len(self.matches) > 0 and all(self.matches)
 
 
+MAX_STEPS = 64
+
+
 def _fully_scattered(cfg: SolitonConfig) -> bool:
     sols = cfg.solitons
     if any(a.length > b.length for a, b in zip(sols, sols[1:])):
@@ -326,21 +324,19 @@ def _fully_scattered(cfg: SolitonConfig) -> bool:
     return all(gap >= a.length for gap, a in zip(cfg.separations, sols))
 
 
-def run_experiment(
-    cfg: SolitonConfig, l: int, steps: int | None = None, max_steps: int = 64,
-) -> ExperimentResult:
+def run_experiment(cfg: SolitonConfig, l: int, steps: int | None = None) -> ExperimentResult:
     """Evolve the configuration and compare detection with the prediction.
 
     With an explicit ``steps`` the evolution runs exactly that long; with
     ``steps=None`` it stops as soon as the detected solitons sit in weakly
     increasing length order with gaps covering their left neighbors, capped
-    at ``max_steps``.  Detection failures mid-collision are recorded as None.
+    at ``MAX_STEPS``.  Detection failures mid-collision are recorded as None.
     """
     state = cfg.build_state()
     states = [state]
     detections: list[SolitonConfig | None] = [cfg]
     predicted = predict_final(cfg)
-    budget = steps if steps is not None else max_steps
+    budget = steps if steps is not None else MAX_STEPS
     t = 0
     while t < budget:
         state, _ = evolve(state, l)

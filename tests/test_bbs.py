@@ -12,6 +12,7 @@ from boxball import (
     apply_r,
     conserved_tableaux,
     energy_e,
+    enumerate_tableaux,
     evolve,
     knuth_equivalent,
     parse_state,
@@ -179,12 +180,42 @@ class TestTransducer:
 
     def test_carrier_error_at_the_stated_bound(self, monkeypatch):
         # An R whose carrier never comes back to rest trips the guard once
-        # the sweep passes support*(k+1) + l + 8 sites.
+        # the sweep has visited support + l sites: 3 + 1 here.
         stuck = SemiStandardTableau.column([3], 3)
         monkeypatch.setattr(bbs_mod, "apply_r", lambda x, y: RResult(y, stuck, 0))
         p = parse_state("n=3 k=1 offset=0\n3 3 2\n")
-        with pytest.raises(CarrierError, match="within 15 sites"):
+        with pytest.raises(CarrierError, match="within 4 sites"):
             evolve(p, 1)
+
+
+class TestSweepBound:
+    # Fed vacuum, a carrier in B^{k,l} is back at rest within l sites; this
+    # is what bounds a sweep at support + l sites.
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_vacuum_brings_every_carrier_to_rest_within_l_sites(self, n):
+        for k in range(1, n):
+            vac = vacuum_column(k, n)
+            for l in range(1, 4):
+                rest = vacuum_block(k, l, n)
+                slowest = 0
+                for c in enumerate_tableaux((l,) * k, n):
+                    sites = 0
+                    while c != rest:
+                        assert sites < l, (k, l, c.rows)
+                        c = apply_r(c, vac).right_out
+                        sites += 1
+                    slowest = max(slowest, sites)
+                assert slowest == l, (k, l)
+
+    def test_dense_sweeps_end_within_l_sites_past_the_support(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.randint(2, 10)
+            k = rng.randint(1, n - 1)
+            l = rng.randint(1, 6)
+            p = random_state(rng, n, k, 30)
+            _, trace = evolve(p, l)
+            assert len(trace.outputs) <= p.support + l
 
 
 class TestEnergy:
