@@ -113,6 +113,58 @@ class CarrierTrace:
     site_energies: tuple[int, ...]
 
 
+class Carrier:
+    """A width-l carrier over (n, k) that keeps the R outcomes of all its sweeps.
+
+    Its table ``(carrier id, column rows) -> (output, next carrier id, H)``,
+    carriers interned to ints with 0 the rest value, lives exactly as long as
+    the object.  It never sweeps a state over another (n, k): tableau
+    equality ignores ``n``, so the table would mix alphabets.
+    """
+
+    def __init__(self, n: int, k: int, l: int):
+        if l < 1:
+            raise ValueError("carrier width must be positive")
+        self.n, self.k, self.l = n, k, l
+        self.carriers = [vacuum_block(k, l, n)]
+        self.carrier_ids = {self.carriers[0].rows: 0}
+        self.table: dict = {}
+
+    def sweep(self, p: BbsState) -> tuple[BbsState, CarrierTrace]:
+        """One time step of the width-l evolution; see :func:`evolve`."""
+        if (p.n, p.k) != (self.n, self.k):
+            raise ValueError(f"state over n={p.n}, k={p.k} given to a carrier over n={self.n}, k={self.k}")
+        l, carriers, carrier_ids, table = self.l, self.carriers, self.carrier_ids, self.table
+        support = p.support
+        cid = 0
+        ids = [0]
+        outputs: list[SemiStandardTableau] = []
+        energies: list[int] = []
+        for site, b in enumerate(chain(p.columns, repeat(vacuum_column(p.k, p.n), l))):
+            if site >= support and not cid:
+                break
+            key = (cid, b.rows)
+            hit = table.get(key)
+            if hit is None:
+                # apply_r is looked up in the module globals on every miss, so a
+                # patched or traced R sees each evaluation.
+                out, carrier, h = apply_r(carriers[cid], b)
+                nid = carrier_ids.get(carrier.rows)
+                if nid is None:
+                    nid = carrier_ids[carrier.rows] = len(carriers)
+                    carriers.append(carrier)
+                hit = table[key] = (out, nid, h)
+            out, cid, h = hit
+            outputs.append(out)
+            ids.append(cid)
+            energies.append(h)
+        if cid:
+            raise CarrierError(f"carrier did not stabilize within {support + l} sites")
+        new_state = BbsState(p.n, p.k, p.offset, outputs)
+        trace = CarrierTrace(tuple(carriers[i] for i in ids), tuple(outputs), tuple(energies))
+        return new_state, trace
+
+
 def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
     """One time step of the width-l evolution.
 
@@ -123,46 +175,10 @@ def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
     after them raises :class:`CarrierError`.  The result is re-canonicalized
     with its offset updated.
 
-    R is evaluated once per distinct (carrier, column) pair of the sweep.
-    Carriers are interned to ints, 0 being the rest value, and the table
-    ``(carrier id, column rows) -> (output, next carrier id, H)`` fills on
-    misses only.  It lives for one call, so it never sees two alphabets:
-    tableau equality ignores ``n``.
+    R is evaluated once per distinct (carrier, column) pair of the sweep; a
+    :class:`Carrier` keeps that table across many sweeps.
     """
-    if l < 1:
-        raise ValueError("carrier width must be positive")
-    rest = vacuum_block(p.k, l, p.n)
-    carriers = [rest]
-    carrier_ids = {rest.rows: 0}
-    table: dict = {}
-    support = p.support
-    cid = 0
-    ids = [0]
-    outputs: list[SemiStandardTableau] = []
-    energies: list[int] = []
-    for site, b in enumerate(chain(p.columns, repeat(vacuum_column(p.k, p.n), l))):
-        if site >= support and not cid:
-            break
-        key = (cid, b.rows)
-        hit = table.get(key)
-        if hit is None:
-            # apply_r is looked up in the module globals on every miss, so a
-            # patched or traced R sees each evaluation.
-            out, carrier, h = apply_r(carriers[cid], b)
-            nid = carrier_ids.get(carrier.rows)
-            if nid is None:
-                nid = carrier_ids[carrier.rows] = len(carriers)
-                carriers.append(carrier)
-            hit = table[key] = (out, nid, h)
-        out, cid, h = hit
-        outputs.append(out)
-        ids.append(cid)
-        energies.append(h)
-    if cid:
-        raise CarrierError(f"carrier did not stabilize within {support + l} sites")
-    new_state = BbsState(p.n, p.k, p.offset, outputs)
-    trace = CarrierTrace(tuple(carriers[i] for i in ids), tuple(outputs), tuple(energies))
-    return new_state, trace
+    return Carrier(p.n, p.k, l).sweep(p)
 
 
 def energy_e(p: BbsState, l: int) -> int:

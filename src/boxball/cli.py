@@ -14,6 +14,7 @@ import sys
 from . import sampling
 from .bbs import (
     BbsState,
+    Carrier,
     CarrierError,
     StateParseError,
     energy_e,
@@ -82,8 +83,9 @@ def render_diagram(states) -> str:
 def cmd_evolve(args: argparse.Namespace) -> int:
     state = _load_state(args.input)
     states = [state]
+    carrier = Carrier(state.n, state.k, args.l)
     for _ in range(args.steps):
-        state, _ = evolve(state, args.l)
+        state, _ = carrier.sweep(state)
         states.append(state)
     sys.stdout.write(format_trajectory(states))
     if args.render:

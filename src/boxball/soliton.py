@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .bbs import BbsState, evolve, vacuum_column
+from .bbs import BbsState, Carrier, vacuum_column
 from .crystal import CrystalTensor, sp, unsplit
 from .rmatrix import apply_r
 from .tableau import SemiStandardTableau
@@ -337,9 +337,10 @@ def run_experiment(cfg: SolitonConfig, l: int, steps: int | None = None) -> Expe
     detections: list[SolitonConfig | None] = [cfg]
     predicted = predict_final(cfg)
     budget = steps if steps is not None else MAX_STEPS
+    carrier = Carrier(state.n, state.k, l)
     t = 0
     while t < budget:
-        state, _ = evolve(state, l)
+        state, _ = carrier.sweep(state)
         t += 1
         try:
             det: SolitonConfig | None = detect(state)

@@ -25,6 +25,7 @@ from boxball import (
     window_word,
 )
 from boxball.bbs import (
+    Carrier,
     StateParseError,
     format_columns,
     format_state,
@@ -32,9 +33,12 @@ from boxball.bbs import (
     vacuum_block,
     vacuum_column,
 )
-from boxball.sampling import random_state
+from boxball.cli import main
+from boxball.sampling import random_state, random_two_soliton_config
+from boxball.soliton import run_experiment
 from conftest import (
     SPECTRUM_TEXTS,
+    THREE_SOLITON_TEXT,
     THREE_SOLITON_TRAJECTORY,
     T,
 )
@@ -133,6 +137,43 @@ def reference_evolve(p, l):
     return BbsState(p.n, p.k, p.offset, outputs), trace
 
 
+def reference_pairs(p, l):
+    """The next state and the distinct (carrier, column) pairs of the defining sweep."""
+    q, trace = reference_evolve(p, l)
+    pairs = {
+        (trace.carriers[site].rows, p.column_at(p.offset + site).rows)
+        for site in range(len(trace.outputs))
+    }
+    return q, pairs
+
+
+def assert_one_evaluation_per_distinct_pair(calls, p, l, steps):
+    """``calls``, the R evaluations of a ``steps``-step run from ``p``, are the
+    union of the per-step pairs, each evaluated once; returns the final state."""
+    per_step = []
+    for _ in range(steps):
+        p, pairs = reference_pairs(p, l)
+        per_step.append(pairs)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set().union(*per_step)
+    # Pairs recur from step to step, so one table per run saves evaluations.
+    assert len(calls) < sum(map(len, per_step))
+    return p
+
+
+@pytest.fixture
+def r_calls(monkeypatch):
+    """Every (carrier rows, column rows) the sweeps hand to R, in order."""
+    calls = []
+
+    def counting_r(x, y):
+        calls.append((x.rows, y.rows))
+        return apply_r(x, y)
+
+    monkeypatch.setattr(bbs_mod, "apply_r", counting_r)
+    return calls
+
+
 def assert_matches_reference(p, l):
     q, trace = evolve(p, l)
     q_ref, trace_ref = reference_evolve(p, l)
@@ -151,25 +192,46 @@ class TestTransducer:
                 for _ in range(3):
                     assert_matches_reference(random_state(rng, n, k, 15), l)
 
-    def test_one_r_evaluation_per_distinct_pair(self, monkeypatch):
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_one_carrier_across_steps_matches_per_site_sweeps(self, n):
+        rng = random.Random(2000 + n)
+        for k in range(1, n):
+            for l in range(1, 6):
+                carrier = Carrier(n, k, l)
+                p = random_state(rng, n, k, 12)
+                for _ in range(4):
+                    q, trace = carrier.sweep(p)
+                    q_ref, trace_ref = reference_evolve(p, l)
+                    assert q == q_ref
+                    assert trace.carriers == trace_ref.carriers
+                    assert trace.outputs == trace_ref.outputs
+                    assert trace.site_energies == trace_ref.site_energies
+                    assert all(t.n == n for t in trace.carriers + trace.outputs)
+                    p = q
+
+    def test_one_r_evaluation_per_distinct_pair(self, r_calls):
         rng = random.Random(7)
         p = BbsState(5, 2, 0, [vacuum_column(2, 5)] * 3 + list(random_state(rng, 5, 2, 40).columns) * 3)
         _, trace = reference_evolve(p, 3)
-        pairs = {
-            (trace.carriers[site].rows, p.column_at(p.offset + site).rows)
-            for site in range(len(trace.outputs))
-        }
-        calls = []
-
-        def counting_r(x, y):
-            calls.append((x.rows, y.rows))
-            return apply_r(x, y)
-
-        monkeypatch.setattr(bbs_mod, "apply_r", counting_r)
+        _, pairs = reference_pairs(p, 3)
         assert evolve(p, 3)[1] == trace
-        assert len(calls) == len(set(calls))
-        assert set(calls) == pairs
+        assert len(r_calls) == len(set(r_calls))
+        assert set(r_calls) == pairs
         assert len(pairs) < len(trace.outputs)
+
+    def test_one_r_evaluation_per_distinct_pair_per_experiment(self, r_calls):
+        cfg = random_two_soliton_config(random.Random(11))
+        l = cfg.solitons[0].length
+        res = run_experiment(cfg, l, steps=6)
+        final = assert_one_evaluation_per_distinct_pair(r_calls, cfg.build_state(), l, 6)
+        assert res.states[-1] == final
+
+    def test_one_r_evaluation_per_distinct_pair_per_cli_evolve(self, r_calls, tmp_path, capsys):
+        path = tmp_path / "state.txt"
+        path.write_text(THREE_SOLITON_TEXT)
+        assert main(["evolve", "--input", str(path), "--l", "3", "--steps", "4"]) == 0
+        final = assert_one_evaluation_per_distinct_pair(r_calls, parse_state(THREE_SOLITON_TEXT), 3, 4)
+        assert parse_trajectory(capsys.readouterr().out)[-1] == final
 
     def test_equal_fillings_over_different_alphabets(self):
         for text in ("n=3 k=1 offset=0\n3 3 2\n", "n=4 k=1 offset=0\n3 3 2\n",
@@ -177,6 +239,15 @@ class TestTransducer:
             p = parse_state(text)
             for l in (1, 3):
                 assert_matches_reference(p, l)
+
+    def test_carrier_refuses_another_alphabet(self):
+        # Equal fillings over n = 3 and n = 4 compare equal as tableaux, so
+        # one table must never serve both.
+        for l in (1, 3):
+            carrier = Carrier(3, 1, l)
+            carrier.sweep(parse_state("n=3 k=1 offset=0\n3 3 2\n"))
+            with pytest.raises(ValueError, match="n=4"):
+                carrier.sweep(parse_state("n=4 k=1 offset=0\n3 3 2\n"))
 
     def test_carrier_error_at_the_stated_bound(self, monkeypatch):
         # An R whose carrier never comes back to rest trips the guard once

@@ -1,6 +1,6 @@
 import pytest
 
-from boxball import CarrierError, RResult, parse_state, parse_trajectory
+from boxball import RResult, SemiStandardTableau, parse_state, parse_trajectory
 from boxball.cli import main
 from conftest import INTRO_K1_TEXT, INTRO_K2_TEXT, SPECTRUM_TEXTS, THREE_SOLITON_TEXT
 
@@ -265,17 +265,19 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error:") and "rectangular" in err
 
-    def test_carrier_error_is_reported(self, capsys, monkeypatch, state_file):
-        import boxball.cli as cli_mod
+    @pytest.mark.parametrize("command", [["evolve", "--steps", "2"], ["scatter"]], ids=["evolve", "scatter"])
+    def test_carrier_error_is_reported(self, capsys, monkeypatch, state_file, command):
+        import boxball.bbs as bbs_mod
 
-        def stuck(p, l):
-            raise CarrierError("carrier did not stabilize within 9 sites")
-
-        monkeypatch.setattr(cli_mod, "evolve", stuck)
+        # An R whose carrier never comes back to rest: the sweep gives up
+        # after support + l sites.
+        stuck = SemiStandardTableau.column([3], 3)
+        monkeypatch.setattr(bbs_mod, "apply_r", lambda x, y: RResult(y, stuck, 0))
         path = state_file(INTRO_K1_TEXT)
-        code, out, err = run(capsys, "evolve", "--input", path)
+        code, out, err = run(capsys, *command, "--input", path, "--l", "2")
         assert (code, out) == (1, "")
-        assert err == "error: carrier did not stabilize within 9 sites\n"
+        bound = parse_state(INTRO_K1_TEXT).support + 2
+        assert err == f"error: carrier did not stabilize within {bound} sites\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
