@@ -15,10 +15,11 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
+from operator import attrgetter
 
 from .crystal import CrystalTensor
 from .insertion import rectify
-from .rmatrix import apply_r
+from .rmatrix import carrier_step
 from .tableau import SemiStandardTableau, TableauError, Word, restrict
 
 
@@ -61,11 +62,14 @@ class BbsState:
             raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
         cols = tuple(columns)
         expected = (1,) * k
-        for t in cols:
-            if t.shape != expected:
-                raise ValueError(f"columns must have {k} rows of one cell, got shape {t.shape}")
-            if t.n != n:
-                raise ValueError("column alphabet bound does not match the state")
+        # The shape depends on the filling alone, and a state holds at most
+        # C(n, k) distinct fillings: check each one once.
+        for rows in set(map(attrgetter("rows"), cols)):
+            shape = tuple(map(len, rows))
+            if shape != expected:
+                raise ValueError(f"columns must have {k} rows of one cell, got shape {shape}")
+        if not set(map(attrgetter("n"), cols)) <= {n}:
+            raise ValueError("column alphabet bound does not match the state")
         vac = vacuum_column(k, n)
         lo, hi = 0, len(cols)
         while lo < hi and cols[lo] == vac:
@@ -118,8 +122,9 @@ class Carrier:
 
     Its table ``(carrier id, column rows) -> (output, next carrier id, H)``,
     carriers interned to ints with 0 the rest value, lives exactly as long as
-    the object.  It never sweeps a state over another (n, k): tableau
-    equality ignores ``n``, so the table would mix alphabets.
+    the object; a miss evaluates R with :func:`~boxball.rmatrix.carrier_step`.
+    It never sweeps a state over another (n, k): tableau equality ignores
+    ``n``, so the table would mix alphabets.
     """
 
     def __init__(self, n: int, k: int, l: int):
@@ -146,9 +151,9 @@ class Carrier:
             key = (cid, b.rows)
             hit = table.get(key)
             if hit is None:
-                # apply_r is looked up in the module globals on every miss, so a
-                # patched or traced R sees each evaluation.
-                out, carrier, h = apply_r(carriers[cid], b)
+                # carrier_step is looked up in the module globals on every
+                # miss, so a patched R sees each evaluation.
+                out, carrier, h = carrier_step(carriers[cid], b)
                 nid = carrier_ids.get(carrier.rows)
                 if nid is None:
                     nid = carrier_ids[carrier.rows] = len(carriers)
@@ -175,8 +180,9 @@ def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
     after them raises :class:`CarrierError`.  The result is re-canonicalized
     with its offset updated.
 
-    R is evaluated once per distinct (carrier, column) pair of the sweep; a
-    :class:`Carrier` keeps that table across many sweeps.
+    R is evaluated with :func:`~boxball.rmatrix.carrier_step`, once per
+    distinct (carrier, column) pair of the sweep; a :class:`Carrier` keeps
+    that table across many sweeps.
     """
     return Carrier(p.n, p.k, l).sweep(p)
 
@@ -282,9 +288,12 @@ def format_columns(p: BbsState, base_offset: int | None = None) -> str:
     if p.offset < base:
         raise ValueError("base offset must not exceed the state offset")
     vac = vacuum_column(p.k, p.n)
+    # A state holds at most C(n, k) distinct fillings: render each one once.
+    fillings = list(map(attrgetter("rows"), p.columns))
+    distinct = dict(zip(fillings, p.columns))
+    text = {rows: "." if col == vac else col.to_column_text() for rows, col in distinct.items()}
     tokens = ["."] * (p.offset - base)
-    for col in p.columns:
-        tokens.append("." if col == vac else col.to_column_text())
+    tokens.extend(map(text.__getitem__, fillings))
     return " ".join(tokens)
 
 

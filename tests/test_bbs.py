@@ -34,6 +34,7 @@ from boxball.bbs import (
     vacuum_column,
 )
 from boxball.cli import main
+from boxball.rmatrix import carrier_step
 from boxball.sampling import random_state, random_two_soliton_config
 from boxball.soliton import run_experiment
 from conftest import (
@@ -62,6 +63,11 @@ class TestStateBasics:
             BbsState(4, 2, 0, [T("1 2", 4)])
         with pytest.raises(ValueError):
             BbsState(4, 2, 0, [SemiStandardTableau.column([1, 2], 5)])
+        # A column equal as a tableau to one already checked, but over
+        # another alphabet, is checked too.
+        good = SemiStandardTableau.column([1, 3], 4)
+        with pytest.raises(ValueError, match="alphabet"):
+            BbsState(4, 2, 0, [good, good, SemiStandardTableau.column([1, 3], 5)])
 
     def test_k_range_checked(self):
         with pytest.raises(ValueError):
@@ -168,9 +174,9 @@ def r_calls(monkeypatch):
 
     def counting_r(x, y):
         calls.append((x.rows, y.rows))
-        return apply_r(x, y)
+        return carrier_step(x, y)
 
-    monkeypatch.setattr(bbs_mod, "apply_r", counting_r)
+    monkeypatch.setattr(bbs_mod, "carrier_step", counting_r)
     return calls
 
 
@@ -253,7 +259,7 @@ class TestTransducer:
         # An R whose carrier never comes back to rest trips the guard once
         # the sweep has visited support + l sites: 3 + 1 here.
         stuck = SemiStandardTableau.column([3], 3)
-        monkeypatch.setattr(bbs_mod, "apply_r", lambda x, y: RResult(y, stuck, 0))
+        monkeypatch.setattr(bbs_mod, "carrier_step", lambda x, y: RResult(y, stuck, 0))
         p = parse_state("n=3 k=1 offset=0\n3 3 2\n")
         with pytest.raises(CarrierError, match="within 4 sites"):
             evolve(p, 1)
@@ -456,6 +462,11 @@ class TestTextFormat:
         assert format_columns(p, 0) == ". . . 3 3 2"
         with pytest.raises(ValueError):
             format_columns(p, 5)
+
+    def test_shared_and_equal_columns_render_alike(self):
+        ball = SemiStandardTableau.column([3], 3)
+        columns = [ball, SemiStandardTableau.column([1], 3), ball, SemiStandardTableau.column([3], 3)]
+        assert format_columns(BbsState(3, 1, 0, columns)) == "3 . 3 3"
 
     def test_trajectory_round_trip(self, three_soliton_state):
         states = [three_soliton_state]

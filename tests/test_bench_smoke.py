@@ -1,7 +1,6 @@
-"""A traced run of the benchmark, at its smallest size, for each workload that
-sweeps through the tracer's ``bbs.evolve`` hook.  The benchmark's own tests
-live in ``bench/test_bench.py``; this one guards the tracer's view of the
-package's signatures from the package side.
+"""A traced run of the benchmark, at its smallest size, for each workload.  The
+benchmark's own tests live in ``bench/test_bench.py``; this one guards the
+tracer's view of the package's signatures from the package side.
 """
 
 import json
@@ -14,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["gas", "wide"])
+@pytest.mark.parametrize("workload", ["gas", "wide", "verify"])
 def test_traced_tiny_run_is_correct(workload):
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",

@@ -17,8 +17,9 @@ from boxball import (
     yang_baxter_holds,
 )
 from boxball import rmatrix
-from boxball.bbs import vacuum_block, vacuum_column
-from boxball.rmatrix import peel_order
+from boxball.bbs import BbsState, Carrier, vacuum_block, vacuum_column
+from boxball.rmatrix import carrier_step, peel_order
+from boxball.sampling import random_column
 from conftest import T
 
 
@@ -293,3 +294,85 @@ class TestDeterministicPeel:
         monkeypatch.setattr(rmatrix, "oracle_r", no_oracle)
         with pytest.raises(RMatrixError, match=message):
             apply_r(x, y)
+
+
+class TestCarrierStep:
+    """The sweep step against the general R it must equal."""
+
+    def test_exhaustive_small(self):
+        pairs = 0
+        for n in range(2, 6):
+            for k in range(1, n):
+                columns = list(enumerate_tableaux((1,) * k, n))
+                for l in range(1, 5):
+                    for x in enumerate_tableaux((l,) * k, n):
+                        for y in columns:
+                            assert carrier_step(x, y) == apply_r(x, y), (x, y)
+                            pairs += 1
+        assert pairs == 17620
+
+    def test_seeded_pairs(self):
+        rng = random.Random(71)
+        for _ in range(1500):
+            n = rng.randint(2, 10)
+            k = rng.randint(1, n - 1)
+            x, y = random_rectangle(rng, k, rng.randint(1, 12), n), random_column(rng, k, n)
+            assert carrier_step(x, y) == apply_r(x, y), (x, y)
+
+    @pytest.mark.parametrize("n,k,l", [(4, 1, 60), (6, 2, 60), (8, 3, 60), (10, 5, 40), (10, 9, 20)])
+    def test_wide_carriers_met_in_sweeps(self, n, k, l):
+        # Carriers a sweep of a dense state meets, far from rest.
+        rng = random.Random(n * 100 + k * 10 + l)
+        carrier = Carrier(n, k, l)
+        carrier.sweep(BbsState(n, k, 0, [random_column(rng, k, n) for _ in range(2 * l)]))
+        assert len(carrier.carriers) > l
+        for x in carrier.carriers:
+            y = random_column(rng, k, n)
+            assert carrier_step(x, y) == apply_r(x, y), (x, y)
+
+    @pytest.mark.parametrize("k,l,n", [(1, 1100, 3), (3, 60, 6)])
+    def test_wide_carriers_need_no_recursion(self, k, l, n):
+        rng = random.Random(k * 1000 + l)
+        x, y = random_rectangle(rng, k, l, n), random_column(rng, k, n)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            res = carrier_step(x, y)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res == apply_r(x, y)
+
+    @pytest.mark.parametrize("swap,message", [(0, "not a corner"), (1, "do not form a column")])
+    def test_wrong_order_raises_without_fallback(self, monkeypatch, swap, message):
+        x, y = T("1 1 2 4 / 2 3 3 5 / 4 4 5 6", 7), T("2/5/7", 7)
+
+        def swapped(*args):
+            order = peel_order(*args)
+            order[swap:swap + 2] = order[swap + 1], order[swap]
+            return order
+
+        def no_fallback(*args):
+            raise AssertionError("carrier_step fell back to another R")
+
+        monkeypatch.setattr(rmatrix, "peel_order", swapped)
+        monkeypatch.setattr(rmatrix, "apply_r", no_fallback)
+        monkeypatch.setattr(rmatrix, "oracle_r", no_fallback)
+        with pytest.raises(RMatrixError, match=message):
+            carrier_step(x, y)
+
+    @pytest.mark.parametrize("rows,column,message", [
+        (((2, 1),), (3,), "re-inserting"),
+        (((1,), (1,)), (1, 2), "do not form a column"),
+    ])
+    def test_carrier_that_is_no_tableau_raises(self, rows, column, message):
+        x = SemiStandardTableau(rows, 3, validate=False)
+        with pytest.raises(RMatrixError, match=message):
+            carrier_step(x, SemiStandardTableau.column(column, 3))
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError, match="alphabet"):
+            carrier_step(T("1 2", 3), T("1", 4))
+        with pytest.raises(ValueError, match="rectangular"):
+            carrier_step(T("1 2 / 3", 4), T("1/2", 4))
+        with pytest.raises(ValueError, match="k-box column"):
+            carrier_step(T("1 2 / 3 4", 4), T("1", 4))
