@@ -19,7 +19,7 @@ from operator import attrgetter
 
 from .crystal import CrystalTensor
 from .insertion import rectify
-from .rmatrix import carrier_step
+from .rmatrix import apply_r
 from .tableau import SemiStandardTableau, TableauError, Word, restrict
 
 
@@ -122,9 +122,8 @@ class Carrier:
 
     Its table ``(carrier id, column rows) -> (output, next carrier id, H)``,
     carriers interned to ints with 0 the rest value, lives exactly as long as
-    the object; a miss evaluates R with :func:`~boxball.rmatrix.carrier_step`.
-    It never sweeps a state over another (n, k): tableau equality ignores
-    ``n``, so the table would mix alphabets.
+    the object.  It never sweeps a state over another (n, k): tableau
+    equality ignores ``n``, so the table would mix alphabets.
     """
 
     def __init__(self, n: int, k: int, l: int):
@@ -151,9 +150,9 @@ class Carrier:
             key = (cid, b.rows)
             hit = table.get(key)
             if hit is None:
-                # carrier_step is looked up in the module globals on every
-                # miss, so a patched R sees each evaluation.
-                out, carrier, h = carrier_step(carriers[cid], b)
+                # apply_r is looked up in the module globals on every miss, so a
+                # patched or traced R sees each evaluation.
+                out, carrier, h = apply_r(carriers[cid], b)
                 nid = carrier_ids.get(carrier.rows)
                 if nid is None:
                     nid = carrier_ids[carrier.rows] = len(carriers)
@@ -180,9 +179,10 @@ def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
     after them raises :class:`CarrierError`.  The result is re-canonicalized
     with its offset updated.
 
-    R is evaluated with :func:`~boxball.rmatrix.carrier_step`, once per
-    distinct (carrier, column) pair of the sweep; a :class:`Carrier` keeps
-    that table across many sweeps.
+    R is evaluated once per distinct (carrier, column) pair of the sweep; a
+    :class:`Carrier` keeps that table across many sweeps.  Each evaluation
+    column-inserts the k letters of the column into the carrier, so its
+    work does not grow with l.
     """
     return Carrier(p.n, p.k, l).sweep(p)
 

@@ -44,6 +44,40 @@ def _bump(rows: list[list[int]], letters: Iterable[int]) -> int:
     return r
 
 
+def _column_bump(rows: list[list[int]], letters: Iterable[int]) -> None:
+    """Column-insert the letters, in order, into mutable rows.
+
+    At each column the incoming letter replaces the topmost entry weakly
+    larger than it and the replaced entry moves to the next column; with
+    nothing that large, the letter lands below the column.  Column-inserting
+    the letters of w right to left gives the tableau of w followed by the
+    row word of the rows.
+
+    A letter that meets an equal entry passes it unchanged, and the columns
+    to its right are untouched and so strict: it passes that row's whole
+    run of equal entries in one bisect.  Every other bump strictly raises
+    the letter, so it makes at most n - 1 bumps however long the rows are.
+    """
+    for a in letters:
+        i, j = len(rows), 0
+        while True:
+            # The bump path only climbs: move i up to the topmost entry >= a
+            # of column j, or to the cell just below that column.
+            while i and (len(rows[i - 1]) <= j or rows[i - 1][j] >= a):
+                i -= 1
+            if i == len(rows):
+                rows.append([])
+            row = rows[i]
+            if len(row) == j:
+                row.append(a)
+                break
+            if row[j] > a:
+                a, row[j] = row[j], a
+                j += 1
+            else:
+                j = bisect_right(row, a, j)
+
+
 def _unbump(rows: list[list[int]], r: int) -> int:
     """Reverse :func:`_bump`: remove the last box of row ``r`` (0-based) from
     mutable rows and return the letter it ejects from the first row.

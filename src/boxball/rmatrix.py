@@ -4,18 +4,15 @@ an independent brute-force oracle, and Yang-Baxter verification.
 ``apply_r`` sends x ⊗ y (shapes l^k and l'^k') to the unique pair x̃ ⊗ ỹ of
 swapped shapes with the same row-insertion product, with the energy of x ⊗ y.
 It peels the product in an order fixed by the shapes: no search, no fallback.
-``carrier_step`` is the same R on a k×l carrier and a k-box column, the step
-of every carrier sweep.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from typing import NamedTuple
 
-from .insertion import _bump, _check_letter, _unbump, insert_word
-from .tableau import SemiStandardTableau, Shape, TableauError, enumerate_tableaux
+from .insertion import _bump, _check_letter, _column_bump, _unbump, insert_word
+from .tableau import SemiStandardTableau, Shape, enumerate_tableaux
 
 
 class RResult(NamedTuple):
@@ -59,21 +56,24 @@ def energy_h(x: SemiStandardTableau, y: SemiStandardTableau) -> int:
 def apply_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
     """Evaluate the combinatorial R on x ⊗ y.
 
-    Row-inserts x into y, reverse-bumps the cells outside l^k in the order of
-    :func:`peel_order` and reads the left output off the ejected letters.  A
-    failed check raises :class:`RMatrixError`; ``oracle_r`` is never consulted.
+    Builds the row-insertion product of x into y by column-inserting y's row
+    word, right to left, into x, so none of x's letters is re-inserted and a
+    sweep step's work does not grow with the carrier's width.  Then it
+    reverse-bumps the cells outside l^k in the order of :func:`peel_order`
+    and reads the left output off the ejected letters.  A failed check
+    raises :class:`RMatrixError`; ``oracle_r`` is never consulted.
     """
     _check_pair(x, y)
     if x.num_rows == 0 or y.num_rows == 0:
         # Degenerate zero-row component: R swaps, with zero energy.
         return RResult(y, x, 0)
     k, l, kp, lp, n = x.num_rows, x.num_cols, y.num_rows, y.num_cols, x.n
-    # Rows and columns increase, so two corners bound every letter of x.
-    _check_letter(x.rows[0][0], n)
-    _check_letter(x.rows[-1][-1], n)
-    rows = [list(row) for row in y.rows]
-    _bump(rows, x.row_word())
-    product = tuple(map(tuple, rows))
+    # Rows and columns increase, so two corners bound every letter of y.
+    _check_letter(y.rows[0][0], n)
+    _check_letter(y.rows[-1][-1], n)
+    rows = [list(row) for row in x.rows]
+    _column_bump(rows, reversed(y.row_word()))
+    product = [row[:] for row in rows]
     shape = tuple(map(len, rows))
     rows.append([])  # the empty row below the last one
     ejected = []
@@ -81,72 +81,21 @@ def apply_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
         if len(rows[r]) != c + 1 or len(rows[r + 1]) > c:
             raise RMatrixError(f"peel cell ({r + 1},{c + 1}) is not a corner")
         ejected.append(_unbump(rows, r))
-    try:
-        left = SemiStandardTableau([ejected[s:s + lp][::-1] for s in range(0, kp * lp, lp)], n)
-    except TableauError as exc:
-        raise RMatrixError(f"the peeled letters do not form a tableau: {exc}") from None
-    right = SemiStandardTableau(rows[:k], n, validate=False)
-    if insert_word(right, left.row_word()).rows != product:
-        raise RMatrixError("re-inserting the left output does not give the product back")
-    return RResult(left, right, _energy_from_shape(shape, k, l, kp, lp))
-
-
-def carrier_step(carrier: SemiStandardTableau, column: SemiStandardTableau) -> RResult:
-    """R on carrier ⊗ column, a k×l rectangle and a k-box column: the sweep step.
-
-    Equals ``apply_r(carrier, column)``.  The product column-inserts the
-    column's letters, top to bottom, into the carrier's rows, so no carrier
-    letter is re-inserted.  A carried letter that meets an equal entry passes
-    that row's whole run of equal entries in one bisect, and every other bump
-    strictly raises it, so a letter makes at most n - 1 bumps whatever l is.
-    The peel and its checks are those of :func:`apply_r`.
-    """
-    _check_pair(carrier, column)
-    k, l, n = carrier.num_rows, carrier.num_cols, carrier.n
-    if not k or column.shape != (1,) * k:
-        raise ValueError(f"need a k×l carrier and a k-box column, got shapes {carrier.shape} and {column.shape}")
-    _check_letter(carrier.rows[0][0], n)
-    _check_letter(carrier.rows[-1][-1], n)
-    rows = [list(row) for row in carrier.rows]
-    for (a,) in column.rows:
-        i, j = len(rows), 0
-        while True:
-            # The bump path only climbs.  Move i up to the top entry >= a of
-            # column j, or to the cell just below that column if it has none.
-            while i and (len(rows[i - 1]) <= j or rows[i - 1][j] >= a):
-                i -= 1
-            if i == len(rows):
-                rows.append([])
-            row = rows[i]
-            if len(row) <= j:
-                if len(row) != j:
-                    raise RMatrixError(f"inserted cell ({i + 1},{j + 1}) does not extend a row")
-                row.append(a)
-                break
-            if row[j] > a:
-                a, row[j] = row[j], a
-                j += 1
-            else:
-                # row[j] == a, and the columns from j on are untouched, so
-                # strict: a passes every column where row i still holds a.
-                j = bisect_right(row, a, j)
-    product = [row[:] for row in rows]
-    shape = tuple(map(len, rows))
-    rows.append([])  # the empty row below the last one
-    ejected = []
-    for r, c in peel_order(k, l, k, 1, shape):
-        if len(rows[r]) != c + 1 or len(rows[r + 1]) > c:
-            raise RMatrixError(f"peel cell ({r + 1},{c + 1}) is not a corner")
-        ejected.append(_unbump(rows, r))
-    if not (1 <= ejected[0] and ejected[-1] <= n and all(a < b for a, b in zip(ejected, ejected[1:]))):
-        raise RMatrixError(f"the peeled letters {ejected} do not form a column over 1..{n}")
+    # The peel ejects the left output's rows from the top, each right to left:
+    # its columns strictly increase when each letter is less than the one lp
+    # places after it.
+    left_rows = [ejected[s:s + lp][::-1] for s in range(0, kp * lp, lp)]
+    if not (1 <= min(ejected) and max(ejected) <= n and all(a < b for a, b in zip(ejected, ejected[lp:]))
+            and all(row == sorted(row) for row in left_rows)):
+        raise RMatrixError(f"the peeled letters {ejected} do not form a tableau over 1..{n}")
+    left = SemiStandardTableau(left_rows, n, validate=False)
     del rows[k:]
     check = [row[:] for row in rows]
-    _bump(check, reversed(ejected))
+    _bump(check, reversed(ejected))  # the left output's row word
     if check != product:
         raise RMatrixError("re-inserting the left output does not give the product back")
-    left = SemiStandardTableau([(a,) for a in ejected], n, validate=False)
-    return RResult(left, SemiStandardTableau(rows, n, validate=False), _energy_from_shape(shape, k, l, k, 1))
+    right = SemiStandardTableau(rows, n, validate=False)
+    return RResult(left, right, _energy_from_shape(shape, k, l, kp, lp))
 
 
 def peel_order(k: int, l: int, kp: int, lp: int, shape: Shape) -> list[tuple[int, int]]:

@@ -34,7 +34,6 @@ from boxball.bbs import (
     vacuum_column,
 )
 from boxball.cli import main
-from boxball.rmatrix import carrier_step
 from boxball.sampling import random_state, random_two_soliton_config
 from boxball.soliton import run_experiment
 from conftest import (
@@ -174,9 +173,9 @@ def r_calls(monkeypatch):
 
     def counting_r(x, y):
         calls.append((x.rows, y.rows))
-        return carrier_step(x, y)
+        return apply_r(x, y)
 
-    monkeypatch.setattr(bbs_mod, "carrier_step", counting_r)
+    monkeypatch.setattr(bbs_mod, "apply_r", counting_r)
     return calls
 
 
@@ -259,7 +258,7 @@ class TestTransducer:
         # An R whose carrier never comes back to rest trips the guard once
         # the sweep has visited support + l sites: 3 + 1 here.
         stuck = SemiStandardTableau.column([3], 3)
-        monkeypatch.setattr(bbs_mod, "carrier_step", lambda x, y: RResult(y, stuck, 0))
+        monkeypatch.setattr(bbs_mod, "apply_r", lambda x, y: RResult(y, stuck, 0))
         p = parse_state("n=3 k=1 offset=0\n3 3 2\n")
         with pytest.raises(CarrierError, match="within 4 sites"):
             evolve(p, 1)

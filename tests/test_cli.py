@@ -272,7 +272,7 @@ class TestUsageErrors:
         # An R whose carrier never comes back to rest: the sweep gives up
         # after support + l sites.
         stuck = SemiStandardTableau.column([3], 3)
-        monkeypatch.setattr(bbs_mod, "carrier_step", lambda x, y: RResult(y, stuck, 0))
+        monkeypatch.setattr(bbs_mod, "apply_r", lambda x, y: RResult(y, stuck, 0))
         path = state_file(INTRO_K1_TEXT)
         code, out, err = run(capsys, *command, "--input", path, "--l", "2")
         assert (code, out) == (1, "")

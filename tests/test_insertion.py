@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from boxball import (
     tableau_from_row_word,
     uninsert,
 )
+from boxball.insertion import _column_bump
 from conftest import T, knuth_neighbors
 
 
@@ -127,6 +129,36 @@ class TestRectify:
                     break
                 v = rng.choice(moves)
             assert rectify(w, 4) == rectify(v, 4)
+
+
+class TestColumnInsertion:
+    """Column-inserting w right to left into t gives rectify(w + row_word(t))."""
+
+    @staticmethod
+    def column_insert(t, word):
+        rows = [list(row) for row in t.rows]
+        _column_bump(rows, reversed(word))
+        return tuple(map(tuple, rows))
+
+    def test_exhaustive_small(self):
+        checked = 0
+        for n in (2, 3, 4):
+            for t in all_small_tableaux(5, n):
+                for length in range(4):
+                    for w in product(range(1, n + 1), repeat=length):
+                        assert self.column_insert(t, w) == rectify(w + t.row_word(), n).rows, (t, w)
+                        checked += 1
+        assert checked == 43595
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_long_runs_of_equal_entries(self, n):
+        # Rows hundreds of boxes long with few distinct letters: every
+        # inserted letter meets long runs of its own value.
+        rng = random.Random(n)
+        for _ in range(40):
+            t = rectify([rng.randint(1, n) for _ in range(rng.randint(1, 900))], n)
+            w = tuple(rng.randint(1, n) for _ in range(rng.randint(1, 12)))
+            assert self.column_insert(t, w) == rectify(w + t.row_word(), n).rows
 
 
 class TestKnuthEquivalence:

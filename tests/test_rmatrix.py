@@ -9,6 +9,7 @@ from boxball import (
     RMatrixError,
     RResult,
     SemiStandardTableau,
+    TableauError,
     apply_r,
     energy_h,
     enumerate_tableaux,
@@ -18,7 +19,7 @@ from boxball import (
 )
 from boxball import rmatrix
 from boxball.bbs import BbsState, Carrier, vacuum_block, vacuum_column
-from boxball.rmatrix import carrier_step, peel_order
+from boxball.rmatrix import peel_order
 from boxball.sampling import random_column
 from conftest import T
 
@@ -165,6 +166,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             apply_r(T("1 1 / 2", 4), T("1", 4))
 
+    @pytest.mark.parametrize("rows", [((0, 1),), ((1, 5),)])
+    def test_inserted_letters_outside_the_alphabet(self, rows):
+        with pytest.raises(TableauError, match="outside 1..3"):
+            apply_r(T("1 2", 3), SemiStandardTableau(rows, 3, validate=False))
+
 
 class TestYangBaxter:
     def test_vacuum_triple(self):
@@ -261,7 +267,9 @@ class TestDeterministicPeel:
                 assert peel_order(k, l, kp, lp, shape) == expected
         assert (keys, matched) == (1355, 622)
 
-    @pytest.mark.parametrize("k,l,kp,lp,n", [(1, 1100, 1, 1000, 3), (3, 60, 3, 50, 6)])
+    @pytest.mark.parametrize("k,l,kp,lp,n", [
+        (1, 1100, 1, 1000, 3), (3, 60, 3, 50, 6), (1, 1100, 1, 1, 3), (3, 60, 3, 1, 6),
+    ])
     def test_wide_pairs_need_no_recursion(self, k, l, kp, lp, n):
         rng = random.Random(k * 1000 + l)
         x, y = random_rectangle(rng, k, l, n), random_rectangle(rng, kp, lp, n)
@@ -295,9 +303,35 @@ class TestDeterministicPeel:
         with pytest.raises(RMatrixError, match=message):
             apply_r(x, y)
 
+    def test_peeled_rows_must_weakly_increase(self, monkeypatch):
+        # With the first two cells of this peel swapped, every cell is still
+        # a corner and re-inserting still gives the product back, but the
+        # left output's row comes out as 1 3 2.
+        x, y = T("1 2", 3), T("1 3 3", 3)
 
-class TestCarrierStep:
-    """The sweep step against the general R it must equal."""
+        def swapped(*args):
+            order = peel_order(*args)
+            order[0:2] = order[1], order[0]
+            return order
+
+        monkeypatch.setattr(rmatrix, "peel_order", swapped)
+        with pytest.raises(RMatrixError, match=r"\[2, 3, 1\] do not form a tableau"):
+            apply_r(x, y)
+
+
+def assert_is_r(x, y, res):
+    """What defines R on x ⊗ y: tableaux of the swapped shapes whose
+    row-insertion product is that of x ⊗ y, with the energy of x ⊗ y."""
+    for t in res.left_out, res.right_out:
+        SemiStandardTableau(t.rows, x.n)  # raises unless a tableau over 1..n
+    assert (res.left_out.shape, res.right_out.shape) == (y.shape, x.shape)
+    assert insertion_product(res.left_out, res.right_out) == insertion_product(x, y)
+    assert res.energy == energy_h(x, y)
+
+
+class TestSweepSteps:
+    """R on a k×l carrier and a k-box column, the step of every sweep, and
+    on seeded pairs of other shapes, against what defines R."""
 
     def test_exhaustive_small(self):
         pairs = 0
@@ -307,7 +341,7 @@ class TestCarrierStep:
                 for l in range(1, 5):
                     for x in enumerate_tableaux((l,) * k, n):
                         for y in columns:
-                            assert carrier_step(x, y) == apply_r(x, y), (x, y)
+                            assert_is_r(x, y, apply_r(x, y))
                             pairs += 1
         assert pairs == 17620
 
@@ -315,9 +349,10 @@ class TestCarrierStep:
         rng = random.Random(71)
         for _ in range(1500):
             n = rng.randint(2, 10)
-            k = rng.randint(1, n - 1)
-            x, y = random_rectangle(rng, k, rng.randint(1, 12), n), random_column(rng, k, n)
-            assert carrier_step(x, y) == apply_r(x, y), (x, y)
+            k, kp = rng.randint(1, n - 1), rng.randint(1, n - 1)
+            x = random_rectangle(rng, k, rng.randint(1, 12), n)
+            y = random_rectangle(rng, kp, rng.choice([1, 1, rng.randint(1, 6)]), n)
+            assert_is_r(x, y, apply_r(x, y))
 
     @pytest.mark.parametrize("n,k,l", [(4, 1, 60), (6, 2, 60), (8, 3, 60), (10, 5, 40), (10, 9, 20)])
     def test_wide_carriers_met_in_sweeps(self, n, k, l):
@@ -328,51 +363,14 @@ class TestCarrierStep:
         assert len(carrier.carriers) > l
         for x in carrier.carriers:
             y = random_column(rng, k, n)
-            assert carrier_step(x, y) == apply_r(x, y), (x, y)
-
-    @pytest.mark.parametrize("k,l,n", [(1, 1100, 3), (3, 60, 6)])
-    def test_wide_carriers_need_no_recursion(self, k, l, n):
-        rng = random.Random(k * 1000 + l)
-        x, y = random_rectangle(rng, k, l, n), random_column(rng, k, n)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(200)
-        try:
-            res = carrier_step(x, y)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert res == apply_r(x, y)
-
-    @pytest.mark.parametrize("swap,message", [(0, "not a corner"), (1, "do not form a column")])
-    def test_wrong_order_raises_without_fallback(self, monkeypatch, swap, message):
-        x, y = T("1 1 2 4 / 2 3 3 5 / 4 4 5 6", 7), T("2/5/7", 7)
-
-        def swapped(*args):
-            order = peel_order(*args)
-            order[swap:swap + 2] = order[swap + 1], order[swap]
-            return order
-
-        def no_fallback(*args):
-            raise AssertionError("carrier_step fell back to another R")
-
-        monkeypatch.setattr(rmatrix, "peel_order", swapped)
-        monkeypatch.setattr(rmatrix, "apply_r", no_fallback)
-        monkeypatch.setattr(rmatrix, "oracle_r", no_fallback)
-        with pytest.raises(RMatrixError, match=message):
-            carrier_step(x, y)
+            assert_is_r(x, y, apply_r(x, y))
 
     @pytest.mark.parametrize("rows,column,message", [
         (((2, 1),), (3,), "re-inserting"),
-        (((1,), (1,)), (1, 2), "do not form a column"),
+        (((1,), (1,)), (1, 2), "do not form a tableau"),
+        (((4, 4),), (1,), r"\[4\] do not form a tableau over 1..3"),
     ])
     def test_carrier_that_is_no_tableau_raises(self, rows, column, message):
         x = SemiStandardTableau(rows, 3, validate=False)
         with pytest.raises(RMatrixError, match=message):
-            carrier_step(x, SemiStandardTableau.column(column, 3))
-
-    def test_rejects_other_shapes(self):
-        with pytest.raises(ValueError, match="alphabet"):
-            carrier_step(T("1 2", 3), T("1", 4))
-        with pytest.raises(ValueError, match="rectangular"):
-            carrier_step(T("1 2 / 3", 4), T("1/2", 4))
-        with pytest.raises(ValueError, match="k-box column"):
-            carrier_step(T("1 2 / 3 4", 4), T("1", 4))
+            apply_r(x, SemiStandardTableau.column(column, 3))
