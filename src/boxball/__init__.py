@@ -66,7 +66,6 @@ from .tableau import (
     content,
     enumerate_tableaux,
     restrict,
-    row_word,
 )
 
 __version__ = "0.1.0"

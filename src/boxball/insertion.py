@@ -44,8 +44,9 @@ def _bump(rows: list[list[int]], letters: Iterable[int]) -> int:
     return r
 
 
-def _column_bump(rows: list[list[int]], letters: Iterable[int]) -> None:
-    """Column-insert the letters, in order, into mutable rows.
+def _column_bump(rows: list[list[int]], letters: Iterable[int]) -> list[tuple[int, int]]:
+    """Column-insert the letters, in order, into mutable rows; return the
+    0-based (row, column) of the box each letter added, in insertion order.
 
     At each column the incoming letter replaces the topmost entry weakly
     larger than it and the replaced entry moves to the next column; with
@@ -58,6 +59,7 @@ def _column_bump(rows: list[list[int]], letters: Iterable[int]) -> None:
     run of equal entries in one bisect.  Every other bump strictly raises
     the letter, so it makes at most n - 1 bumps however long the rows are.
     """
+    cells = []
     for a in letters:
         i, j = len(rows), 0
         while True:
@@ -70,12 +72,14 @@ def _column_bump(rows: list[list[int]], letters: Iterable[int]) -> None:
             row = rows[i]
             if len(row) == j:
                 row.append(a)
+                cells.append((i, j))
                 break
             if row[j] > a:
                 a, row[j] = row[j], a
                 j += 1
             else:
                 j = bisect_right(row, a, j)
+    return cells
 
 
 def _unbump(rows: list[list[int]], r: int) -> int:

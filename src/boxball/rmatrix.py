@@ -3,7 +3,8 @@ an independent brute-force oracle, and Yang-Baxter verification.
 
 ``apply_r`` sends x ⊗ y (shapes l^k and l'^k') to the unique pair x̃ ⊗ ỹ of
 swapped shapes with the same row-insertion product, with the energy of x ⊗ y.
-It peels the product in an order fixed by the shapes: no search, no fallback.
+It peels the product in the reverse of the order in which y's letters landed
+in it: no search, no fallback.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ def apply_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
     Builds the row-insertion product of x into y by column-inserting y's row
     word, right to left, into x, so none of x's letters is re-inserted and a
     sweep step's work does not grow with the carrier's width.  Then it
-    reverse-bumps the cells outside l^k in the order of :func:`peel_order`
-    and reads the left output off the ejected letters.  A failed check
-    raises :class:`RMatrixError`; ``oracle_r`` is never consulted.
+    reverse-bumps the boxes y's letters added, last landed first, and reads
+    the left output off the ejected letters.  A failed check raises
+    :class:`RMatrixError`; ``oracle_r`` is never consulted.
     """
     _check_pair(x, y)
     if x.num_rows == 0 or y.num_rows == 0:
@@ -72,12 +73,17 @@ def apply_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
     _check_letter(y.rows[0][0], n)
     _check_letter(y.rows[-1][-1], n)
     rows = [list(row) for row in x.rows]
-    _column_bump(rows, reversed(y.row_word()))
+    landed = _column_bump(rows, reversed(y.row_word()))
     product = [row[:] for row in rows]
     shape = tuple(map(len, rows))
     rows.append([])  # the empty row below the last one
     ejected = []
-    for r, c in peel_order(k, l, kp, lp, shape):
+    # y's rows go in top row first, each right to left, and each adds a
+    # horizontal strip; labelling the i-th strip i gives the one Littlewood-
+    # Richardson filling of shape/(l^k) with content (lp^kp), as two
+    # rectangles multiply without multiplicity.  So the peel removes the
+    # boxes in the reverse of the order they landed, each then a corner.
+    for r, c in reversed(landed):
         if len(rows[r]) != c + 1 or len(rows[r + 1]) > c:
             raise RMatrixError(f"peel cell ({r + 1},{c + 1}) is not a corner")
         ejected.append(_unbump(rows, r))
@@ -96,33 +102,6 @@ def apply_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
         raise RMatrixError("re-inserting the left output does not give the product back")
     right = SemiStandardTableau(rows, n, validate=False)
     return RResult(left, right, _energy_from_shape(shape, k, l, kp, lp))
-
-
-def peel_order(k: int, l: int, kp: int, lp: int, shape: Shape) -> list[tuple[int, int]]:
-    """0-based cells of shape/(l^k) in the order the peel of R removes them.
-
-    Two rectangles multiply without multiplicity, so the one Littlewood–
-    Richardson filling of content (lp^kp) is found greedily: rows from the
-    top, each from the right, each cell taking the largest letter that keeps
-    columns strict, rows weak and the reading word lattice.  Letter j marks
-    the boxes that the j-th inserted row of the left output adds; cells
-    leave in decreasing (letter, column) order.
-    """
-    counts = [lp] + [0] * kp  # counts[0] bounds letter 1 in the lattice test
-    cells = []
-    above = [0] * shape[0]  # per column, the letter of the last cell filled; 0 in l^k
-    for r, length in enumerate(shape):
-        v = kp  # letters weakly decrease leftwards along a row
-        for c in range(length - 1, (l if r < k else 0) - 1, -1):
-            while v > above[c] and counts[v - 1] <= counts[v]:
-                v -= 1
-            if v <= above[c]:
-                raise RMatrixError(f"{shape}/({l}^{k}) has no filling of content ({lp}^{kp})")
-            counts[v] += 1
-            above[c] = v
-            cells.append((v, c, r))
-    cells.sort(reverse=True)
-    return [(r, c) for _, c, r in cells]
 
 
 def oracle_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:

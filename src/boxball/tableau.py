@@ -151,10 +151,6 @@ class SemiStandardTableau:
         return hash(self.rows)
 
 
-def row_word(t: SemiStandardTableau) -> Word:
-    return t.row_word()
-
-
 def content(x) -> Counter:
     """Letter multiset of a tableau or of a plain word."""
     if isinstance(x, SemiStandardTableau):

@@ -132,12 +132,23 @@ class TestRectify:
 
 
 class TestColumnInsertion:
-    """Column-inserting w right to left into t gives rectify(w + row_word(t))."""
+    """Column-inserting w right to left into t gives rectify(w + t.row_word()),
+    and reports the box each letter added."""
 
     @staticmethod
     def column_insert(t, word):
         rows = [list(row) for row in t.rows]
-        _column_bump(rows, reversed(word))
+        landed = _column_bump(rows, reversed(word))
+        assert len(landed) == len(word)
+        # Insert letter by letter: each returned cell is the one box that
+        # letter added to the shape.
+        step = [list(row) for row in t.rows]
+        for a, (r, c) in zip(reversed(word), landed):
+            shape = [len(row) for row in step] + [0]
+            shape[r] += 1
+            _column_bump(step, (a,))
+            assert [len(row) for row in step] == [m for m in shape if m] and shape[r] == c + 1
+        assert step == rows
         return tuple(map(tuple, rows))
 
     def test_exhaustive_small(self):

@@ -19,7 +19,7 @@ from boxball import (
 )
 from boxball import rmatrix
 from boxball.bbs import BbsState, Carrier, vacuum_block, vacuum_column
-from boxball.rmatrix import peel_order
+from boxball.insertion import _column_bump
 from boxball.sampling import random_column
 from conftest import T
 
@@ -201,16 +201,6 @@ def random_rectangle(rng, k, l, n):
     return SemiStandardTableau([sorted(col[i] for col in cols) for i in range(k)], n)
 
 
-def partitions(total, max_part, max_len):
-    """Partitions of total into at most max_len parts, none above max_part."""
-    if total == 0:
-        yield ()
-    elif max_len:
-        for first in range(min(total, max_part), 0, -1):
-            for rest in partitions(total - first, first, max_len - 1):
-                yield (first,) + rest
-
-
 def lr_fillings(k, l, kp, lp, shape):
     """Every filling of shape/(l^k) with content (lp^kp), rows weak, columns
     strict and the reverse reading word a lattice word, found by search."""
@@ -247,25 +237,34 @@ class TestDeterministicPeel:
                     pairs += 1
         assert pairs == 8505
 
-    def test_peel_order_is_the_unique_lr_filling(self):
-        keys = matched = 0
-        for k, l, kp, lp in product(range(1, 7), repeat=4):
-            if k * l > 6 or kp * lp > 6:
-                continue
-            for shape in partitions(k * l + kp * lp, l + lp, k + kp):
-                if len(shape) < k or shape[k - 1] < l:
-                    continue
-                keys += 1
-                fillings = lr_fillings(k, l, kp, lp, shape)
-                assert len(fillings) <= 1
-                if not fillings:
-                    with pytest.raises(RMatrixError):
-                        peel_order(k, l, kp, lp, shape)
-                    continue
-                matched += 1
-                expected = sorted(fillings[0], key=lambda rc: (fillings[0][rc], rc[1]), reverse=True)
-                assert peel_order(k, l, kp, lp, shape) == expected
-        assert (keys, matched) == (1355, 622)
+    def test_landing_cells_are_the_unique_lr_filling(self):
+        # apply_r peels in the reverse of the order y's letters land in x.
+        # Labelling each landing cell with the row of y its letter came from
+        # must give the one LR filling of the product shape minus l^k.
+        fillings = {}
+
+        def check(x, y):
+            rows = [list(row) for row in x.rows]
+            landed = _column_bump(rows, reversed(y.row_word()))
+            key = (x.num_rows, x.num_cols, y.num_rows, y.num_cols, tuple(map(len, rows)))
+            if key not in fillings:
+                fillings[key] = lr_fillings(*key)
+            lp = y.num_cols
+            assert fillings[key] == [{cell: 1 + i // lp for i, cell in enumerate(landed)}]
+
+        pairs = 0
+        for n in (2, 3, 4):
+            for x in small_rectangles(n, kmax=n - 1, lmax=2):
+                for y in small_rectangles(n, kmax=n - 1, lmax=3):
+                    check(x, y)
+                    pairs += 1
+        assert (pairs, len(fillings)) == (8505, 136)
+        rng = random.Random(29)
+        rectangles = [(k, l) for k in range(1, 7) for l in range(1, 7) if k * l <= 6]
+        for _ in range(3000):
+            n = rng.randint(2, 8)
+            (k, l), (kp, lp) = (rng.choice([(k, l) for k, l in rectangles if k < n]) for _ in range(2))
+            check(random_rectangle(rng, k, l, n), random_rectangle(rng, kp, lp, n))
 
     @pytest.mark.parametrize("k,l,kp,lp,n", [
         (1, 1100, 1, 1000, 3), (3, 60, 3, 50, 6), (1, 1100, 1, 1, 3), (3, 60, 3, 1, 6),
@@ -290,15 +289,15 @@ class TestDeterministicPeel:
         x = T("1 1 1 1 2 / 2 2 3 3 3 / 4 4 4 5 5", 7)
         y = T("1 1 2 / 2 3 3 / 5 6 7", 7)
 
-        def swapped(*args):
-            order = peel_order(*args)
+        def swapped(rows, letters):
+            order = _column_bump(rows, letters)[::-1]  # the peel order
             order[swap:swap + 2] = order[swap + 1], order[swap]
-            return order
+            return order[::-1]
 
         def no_oracle(*args):
             raise AssertionError("apply_r fell back to oracle_r")
 
-        monkeypatch.setattr(rmatrix, "peel_order", swapped)
+        monkeypatch.setattr(rmatrix, "_column_bump", swapped)
         monkeypatch.setattr(rmatrix, "oracle_r", no_oracle)
         with pytest.raises(RMatrixError, match=message):
             apply_r(x, y)
@@ -309,12 +308,12 @@ class TestDeterministicPeel:
         # left output's row comes out as 1 3 2.
         x, y = T("1 2", 3), T("1 3 3", 3)
 
-        def swapped(*args):
-            order = peel_order(*args)
+        def swapped(rows, letters):
+            order = _column_bump(rows, letters)[::-1]  # the peel order
             order[0:2] = order[1], order[0]
-            return order
+            return order[::-1]
 
-        monkeypatch.setattr(rmatrix, "peel_order", swapped)
+        monkeypatch.setattr(rmatrix, "_column_bump", swapped)
         with pytest.raises(RMatrixError, match=r"\[2, 3, 1\] do not form a tableau"):
             apply_r(x, y)
 
