@@ -168,6 +168,17 @@ class Carrier:
         trace = CarrierTrace(tuple(carriers[i] for i in ids), tuple(outputs), tuple(energies))
         return new_state, trace
 
+    def energy(self, p: BbsState) -> int:
+        """E_l of ``p``, l this carrier's width: minus the summed local
+        energies of one sweep.
+
+        Independent of the window length: once the carrier rests, every
+        further site contributes zero.  The sweep reads and extends this
+        carrier's table, so taking E_l of many states through one carrier
+        evaluates R once per distinct (carrier, column) pair among them.
+        """
+        return -sum(self.sweep(p)[1].site_energies)
+
 
 def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
     """One time step of the width-l evolution.
@@ -188,32 +199,63 @@ def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
 
 
 def energy_e(p: BbsState, l: int) -> int:
-    """Minus the summed local energies of one width-l carrier pass.
+    """E_l: minus the summed local energies of one width-l carrier pass.
 
-    Independent of the window length: once the carrier rests, every further
-    site contributes zero.
+    One sweep of a fresh :class:`Carrier`; a caller that takes E_l of many
+    states keeps one carrier per width and calls :meth:`Carrier.energy`.
     """
-    _, trace = evolve(p, l)
-    return -sum(trace.site_energies)
+    return Carrier(p.n, p.k, l).energy(p)
 
 
 def soliton_spectrum(p: BbsState) -> dict[int, int]:
     """Counts of solitons per length, solved from the energy sequence.
 
-    The increments of l -> E_l are non-increasing and vanish beyond the
-    longest soliton, which is no longer than the support, so the sequence is
-    computed until it stabilizes, by l = support + 1, and the counts are its
-    second differences.
+    With soliton content λ, E_l = Σ_j min(l, λ_j), so the increment
+    Δ_l = E_l - E_{l-1} counts the solitons of length at least l, and the
+    counts are the second differences of E_0 = 0, E_1, E_2, ....  The
+    sequence climbs to T, the number of letters above k in the state:
+
+    - R keeps letters, and the rest carrier holds none above k, so a carrier
+      that meets a column with b such letters holds at most T - b of them.
+    - Against a column c_1 < ... < c_k, -H is the excess over k of the
+      longest strictly decreasing subsequence of the product's reading word
+      (Schensted), and that word is c_k ... c_1 followed by the carrier's
+      row word.  So -H = max(0, max_m (#{i : x_i < c_m} - (m - 1))), where
+      x_1 < ... < x_k is the carrier's first column.
+    - Let c have b letters above k.  Where c_m <= k, c_m <= b + m and the
+      count is at most c_m - 1; where c_m > k, m > k - b and the count is at
+      most k.  Either way the term is at most b, so -H <= b and E_l <= T.
+    - At the smallest c_m above k the term is b when the carrier's first
+      column is 1..k.  A first column with a letter above k fills that row
+      with such letters, l of them; for l >= T that is more than T - b
+      whenever b >= 1.  So -H = b at every column, and E_l = T, once
+      l >= T.  For k = 1 this is the classical carrier rule: a carrier
+      wider than T always holds a 1 below an incoming ball.
+
+    So the sweeps stop at the first m where E_m = T or Δ_m <= 1: past m at
+    most one soliton is left, and E_l = min(T, E_m + Δ_m (l - m)).  Each
+    earlier sweep raises E by at least 2, so there are at most T / 2 + 1.
+    An E_l above T, or a sequence that stops rising below T, raises
+    :class:`RuntimeError`; a negative count raises :class:`ValueError`.
     """
     if p.is_vacuum():
         return {}
+    balls = sum(a > p.k for col in p.columns for (a,) in col.rows)
     energies = [0]
-    for l in range(1, len(p.columns) + 2):
-        energies.append(energy_e(p, l))
-        if l >= 2 and energies[-1] == energies[-2]:
+    while energies[-1] < balls:
+        l = len(energies)
+        e = energy_e(p, l)
+        rise = e - energies[-1]
+        if e > balls:
+            raise RuntimeError(f"E_{l} = {e} exceeds the {balls} letters above k")
+        if rise <= 0:
+            raise RuntimeError(f"energy sequence stopped rising at E_{l} = {e}, below {balls}")
+        energies.append(e)
+        if rise == 1:
             break
-    else:
-        raise RuntimeError("energy sequence failed to stabilize")
+    # At most one soliton is left: E_l climbs by one to T, then stays there.
+    energies.extend(range(energies[-1] + 1, balls + 1))
+    energies.append(balls)
     spectrum: dict[int, int] = {}
     for d in range(1, len(energies) - 1):
         count = 2 * energies[d] - energies[d - 1] - energies[d + 1]

@@ -10,6 +10,8 @@ in it: no search, no fallback.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
+from operator import eq, lt
 from typing import NamedTuple
 
 from .insertion import _bump, _check_letter, _column_bump, _unbump, insert_word
@@ -39,8 +41,9 @@ def _check_pair(x: SemiStandardTableau, y: SemiStandardTableau) -> None:
 
 
 def _energy_from_shape(shape: Shape, k: int, l: int, kp: int, lp: int) -> int:
-    east = max(l, lp)
-    overflow = sum(length - east for length in shape if length > east)
+    # The cells east of the wider width: each row's length less its part
+    # within that width.
+    overflow = sum(shape) - sum(map(min, shape, repeat(max(l, lp))))
     return overflow - min(k, kp) * min(l, lp)
 
 
@@ -65,14 +68,15 @@ def apply_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
     :class:`RMatrixError`; ``oracle_r`` is never consulted.
     """
     _check_pair(x, y)
-    if x.num_rows == 0 or y.num_rows == 0:
+    xrows, yrows = x.rows, y.rows
+    if not (xrows and yrows):
         # Degenerate zero-row component: R swaps, with zero energy.
         return RResult(y, x, 0)
-    k, l, kp, lp, n = x.num_rows, x.num_cols, y.num_rows, y.num_cols, x.n
+    k, l, kp, lp, n = len(xrows), len(xrows[0]), len(yrows), len(yrows[0]), x.n
     # Rows and columns increase, so two corners bound every letter of y.
-    _check_letter(y.rows[0][0], n)
-    _check_letter(y.rows[-1][-1], n)
-    rows = [list(row) for row in x.rows]
+    _check_letter(yrows[0][0], n)
+    _check_letter(yrows[-1][-1], n)
+    rows = list(map(list, xrows))
     landed = _column_bump(rows, reversed(y.row_word()))
     product = [row[:] for row in rows]
     shape = tuple(map(len, rows))
@@ -91,8 +95,8 @@ def apply_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
     # its columns strictly increase when each letter is less than the one lp
     # places after it.
     left_rows = [ejected[s:s + lp][::-1] for s in range(0, kp * lp, lp)]
-    if not (1 <= min(ejected) and max(ejected) <= n and all(a < b for a, b in zip(ejected, ejected[lp:]))
-            and all(row == sorted(row) for row in left_rows)):
+    if not (1 <= min(ejected) and max(ejected) <= n and all(map(lt, ejected, ejected[lp:]))
+            and all(map(eq, left_rows, map(sorted, left_rows)))):
         raise RMatrixError(f"the peeled letters {ejected} do not form a tableau over 1..{n}")
     left = SemiStandardTableau(left_rows, n, validate=False)
     del rows[k:]

@@ -106,7 +106,7 @@ class SemiStandardTableau:
 
     @property
     def is_rectangular(self) -> bool:
-        return all(len(row) == len(self.rows[0]) for row in self.rows)
+        return len(set(map(len, self.rows))) <= 1
 
     def columns(self) -> list[tuple[int, ...]]:
         return [

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -34,7 +35,7 @@ from boxball.bbs import (
     vacuum_column,
 )
 from boxball.cli import main
-from boxball.sampling import random_state, random_two_soliton_config
+from boxball.sampling import random_column, random_state, random_two_soliton_config
 from boxball.soliton import run_experiment
 from conftest import (
     SPECTRUM_TEXTS,
@@ -238,6 +239,21 @@ class TestTransducer:
         final = assert_one_evaluation_per_distinct_pair(r_calls, parse_state(THREE_SOLITON_TEXT), 3, 4)
         assert parse_trajectory(capsys.readouterr().out)[-1] == final
 
+    @pytest.mark.parametrize("invariant", ["energy", "commute"])
+    def test_one_r_evaluation_per_distinct_pair_per_cli_check(self, monkeypatch, capsys, invariant):
+        # The trials draw n from 2..5, and tableau equality ignores n, so a
+        # pair is keyed by n as well.
+        calls = []
+
+        def counting_r(x, y):
+            calls.append((x.n, x.rows, y.rows))
+            return apply_r(x, y)
+
+        monkeypatch.setattr(bbs_mod, "apply_r", counting_r)
+        assert main(["check", "--invariant", invariant, "--trials", "40", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == f"check invariant={invariant} seed=3: PASS 40/40\n"
+        assert calls and len(calls) == len(set(calls))
+
     def test_equal_fillings_over_different_alphabets(self):
         for text in ("n=3 k=1 offset=0\n3 3 2\n", "n=4 k=1 offset=0\n3 3 2\n",
                      "n=3 k=1 offset=0\n3 3 2\n"):
@@ -313,6 +329,44 @@ class TestEnergy:
             assert energy_e(p, l) == 4
 
 
+def reference_spectrum(p):
+    """The spectrum from E_1, E_2, ... swept until the sequence stops rising."""
+    if p.is_vacuum():
+        return {}
+    energies = [0]
+    for l in range(1, len(p.columns) + 2):
+        energies.append(energy_e(p, l))
+        if l >= 2 and energies[-1] == energies[-2]:
+            break
+    else:
+        raise AssertionError("energy sequence failed to stabilize")
+    counts = {d: 2 * energies[d] - energies[d - 1] - energies[d + 1] for d in range(1, len(energies) - 1)}
+    assert min(counts.values()) >= 0
+    return {d: c for d, c in counts.items() if c}
+
+
+def balls(p):
+    """The number of letters above k in the state."""
+    return sum(a > p.k for col in p.columns for (a,) in col.rows)
+
+
+def sparse_state(rng, n, k, max_support):
+    """Seeded columns, each the vacuum column with probability one half."""
+    vac = vacuum_column(k, n)
+    cols = [vac if rng.random() < 0.5 else random_column(rng, k, n) for _ in range(rng.randint(1, max_support))]
+    return BbsState(n, k, 0, cols)
+
+
+def assert_spectrum_matches_reference(p):
+    spectrum = soliton_spectrum(p)
+    assert spectrum == reference_spectrum(p), format_state(p)
+    assert sum(d * count for d, count in spectrum.items()) == balls(p)
+
+
+# Two solitons, of lengths 5 and 1: E_l = min(l, 5) + min(l, 1).
+LONG_AND_SHORT_TEXT = "n=3 k=1 offset=0\n3 3 3 3 3 . . 2\n"
+
+
 class TestSpectrum:
     @pytest.mark.parametrize("key,expected", [
         ("a", {1: 2}), ("b", {2: 2}), ("c", {2: 3}),
@@ -322,6 +376,90 @@ class TestSpectrum:
 
     def test_vacuum_empty(self):
         assert soliton_spectrum(BbsState(4, 2, 0, [])) == {}
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_equals_full_sweeps_on_all_small_states(self, n):
+        for k in range(1, n):
+            vac = vacuum_column(k, n)
+            cols = list(enumerate_tableaux((1,) * k, n))
+            support = 1
+            while len(cols) ** support <= 400:
+                for word in product(cols, repeat=support):
+                    if word[0] != vac and word[-1] != vac:
+                        assert_spectrum_matches_reference(BbsState(n, k, 0, word))
+                support += 1
+
+    def test_equals_full_sweeps_on_seeded_states(self):
+        rng = random.Random(71)
+        for n in range(2, 11):
+            for k in range(1, n):
+                for max_support in (6, 14, 30):
+                    assert_spectrum_matches_reference(sparse_state(rng, n, k, max_support))
+
+    @pytest.mark.slow
+    def test_equals_full_sweeps_on_many_seeded_states(self):
+        rng = random.Random(72)
+        for i in range(4000):
+            n = rng.randint(2, 10)
+            k = rng.randint(1, min(n - 1, 6))
+            draw = sparse_state if i % 2 else random_state
+            assert_spectrum_matches_reference(draw(rng, n, k, 60))
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_local_energy_is_at_most_the_balls_of_the_column(self, n):
+        # soliton_spectrum's derivation: -H depends only on the carrier's
+        # first column x and the column c, and is at most b, c's letters
+        # above k, with equality when x is 1..k; so E_l <= T, and E_l = T
+        # once l >= T.
+        for k in range(1, n):
+            vac = tuple(range(1, k + 1))
+            cols = list(enumerate_tableaux((1,) * k, n))
+            for l in (1, 2, 3):
+                for x in enumerate_tableaux((l,) * k, n):
+                    first = tuple(row[0] for row in x.rows)
+                    for y in cols:
+                        c = [a for (a,) in y.rows]
+                        b = sum(a > k for a in c)
+                        h = apply_r(x, y).energy
+                        assert -h == max(0, *(sum(v < c[m] for v in first) - m for m in range(k)))
+                        assert -h == b if first == vac else 0 <= -h <= b
+
+    def test_energy_reaches_the_ball_count_at_width_t(self):
+        rng = random.Random(73)
+        for n in range(2, 9):
+            for k in range(1, n):
+                p = sparse_state(rng, n, k, 20)
+                t = balls(p)
+                assert energy_e(p, t) == t if t else p.is_vacuum()
+
+    def test_fewer_sweeps_with_a_unique_longest_soliton(self, monkeypatch):
+        p = parse_state(LONG_AND_SHORT_TEXT)
+        full = reference_spectrum(p)
+        assert full == {1: 1, 5: 1}
+        widths = []
+        monkeypatch.setattr(bbs_mod, "energy_e", lambda q, l: widths.append(l) or energy_e(q, l))
+        assert soliton_spectrum(p) == full
+        # E_1 = 2 and E_2 = 3: past l = 2 only the longest soliton is left,
+        # where the full loop sweeps on to E_6 = E_5.
+        assert widths == [1, 2]
+
+    def test_single_soliton_takes_one_sweep(self, monkeypatch):
+        widths = []
+        monkeypatch.setattr(bbs_mod, "energy_e", lambda q, l: widths.append(l) or energy_e(q, l))
+        assert soliton_spectrum(parse_state("n=5 k=3 offset=0\n2/3/5 2/3/4 1/2/4\n")) == {3: 1}
+        assert widths == [1]
+
+    @pytest.mark.parametrize("patched,error,message", [
+        # Flat at E_2 = 2, below the six letters above k.
+        (lambda e, l: min(e, 2), RuntimeError, "stopped rising at E_2 = 2"),
+        (lambda e, l: e + 5, RuntimeError, "E_1 = 7 exceeds the 6 letters above k"),
+        # E = 0, 2, 5, 6: N_1 = 4 - 0 - 5.
+        (lambda e, l: (2, 5, 6)[l - 1], ValueError, "negative soliton count N_1 = -1"),
+    ])
+    def test_inconsistent_energies_raise(self, monkeypatch, patched, error, message):
+        monkeypatch.setattr(bbs_mod, "energy_e", lambda q, l: patched(energy_e(q, l), l))
+        with pytest.raises(error, match=message):
+            soliton_spectrum(parse_state(LONG_AND_SHORT_TEXT))
 
     def test_invariant_under_evolution(self):
         rng = random.Random(41)

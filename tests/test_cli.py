@@ -1,6 +1,7 @@
 import pytest
 
 from boxball import RResult, SemiStandardTableau, parse_state, parse_trajectory
+from boxball.bbs import Carrier
 from boxball.cli import main
 from conftest import INTRO_K1_TEXT, INTRO_K2_TEXT, SPECTRUM_TEXTS, THREE_SOLITON_TEXT
 
@@ -185,10 +186,10 @@ class TestCheck:
         assert "trial" in out  # the failing instance is reported
 
     def test_failure_prints_instance(self, capsys, monkeypatch):
-        import boxball.cli as cli_mod
-
-        real = cli_mod.energy_e
-        monkeypatch.setattr(cli_mod, "energy_e", lambda p, l: real(p, l) + p.offset)
+        # The energy check takes E_l through its carriers: skew it by the
+        # offset, which the evolution moves.
+        real = Carrier.energy
+        monkeypatch.setattr(Carrier, "energy", lambda self, p: real(self, p) + p.offset)
         code, out, _ = run(capsys, "check", "--invariant", "energy", "--trials", "10", "--seed", "1")
         assert code == 1
         assert "n=" in out and "k=" in out  # state file format in the report
