@@ -18,20 +18,16 @@ from .bbs import (
     parse_trajectory,
     soliton_spectrum,
     state_to_tensor,
-    tensor_to_state,
     vacuum_block,
     vacuum_column,
     window_word,
 )
-from .crystal import CrystalTensor, apply_e_tableau, apply_f_tableau, sp, unsplit
+from .crystal import CrystalTensor, sp, unsplit
 from .insertion import (
-    InsertionOutcome,
-    insert_letter,
     insert_word,
     knuth_equivalent,
     outer_corners,
     rectify,
-    tableau_from_row_word,
     uninsert,
 )
 from .rmatrix import (
@@ -63,7 +59,6 @@ from .tableau import (
     Shape,
     TableauError,
     Word,
-    content,
     enumerate_tableaux,
     restrict,
 )

@@ -311,10 +311,6 @@ def state_to_tensor(p: BbsState, lo: int | None = None, hi: int | None = None) -
     return CrystalTensor(tuple(p.column_at(pos) for pos in range(lo, hi)), p.n)
 
 
-def tensor_to_state(ct: CrystalTensor, k: int, offset: int) -> BbsState:
-    return BbsState(ct.n, k, offset, ct.factors)
-
-
 # -- text form ---------------------------------------------------------------
 #
 # Line 1: "n=<int> k=<int> offset=<int>".  Line 2: whitespace-separated
@@ -339,9 +335,8 @@ def format_columns(p: BbsState, base_offset: int | None = None) -> str:
     return " ".join(tokens)
 
 
-def format_state(p: BbsState, base_offset: int | None = None) -> str:
-    base = p.offset if base_offset is None else base_offset
-    return f"n={p.n} k={p.k} offset={base}\n{format_columns(p, base)}\n"
+def format_state(p: BbsState) -> str:
+    return f"n={p.n} k={p.k} offset={p.offset}\n{format_columns(p)}\n"
 
 
 def format_trajectory(states: Sequence[BbsState]) -> str:

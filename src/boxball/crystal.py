@@ -133,15 +133,3 @@ def unsplit(ct: CrystalTensor) -> SemiStandardTableau:
             raise ValueError("unsplit expects single-column factors")
         cols.append(tuple(row[0] for row in t.rows))
     return SemiStandardTableau.from_columns(list(reversed(cols)), ct.n)
-
-
-def apply_f_tableau(t: SemiStandardTableau, i: int) -> SemiStandardTableau | None:
-    """Lowering operator on one rectangular tableau (via its column splitting)."""
-    out = CrystalTensor((t,)).apply_f(i)
-    return None if out is None else out.factors[0]
-
-
-def apply_e_tableau(t: SemiStandardTableau, i: int) -> SemiStandardTableau | None:
-    """Raising operator on one rectangular tableau (via its column splitting)."""
-    out = CrystalTensor((t,)).apply_e(i)
-    return None if out is None else out.factors[0]

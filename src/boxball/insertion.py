@@ -3,15 +3,9 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
-from typing import NamedTuple
+from collections.abc import Iterable
 
 from .tableau import SemiStandardTableau, TableauError
-
-
-class InsertionOutcome(NamedTuple):
-    tableau: SemiStandardTableau
-    new_cell: tuple[int, int]  # 1-based (row, column) of the added box
 
 
 def _check_letter(a: int, n: int) -> None:
@@ -19,15 +13,13 @@ def _check_letter(a: int, n: int) -> None:
         raise TableauError(f"letter {a} outside 1..{n}")
 
 
-def _bump(rows: list[list[int]], letters: Iterable[int]) -> int:
-    """Row-insert the letters, in order, into mutable rows; return the 0-based
-    row of the box the last letter added.
+def _bump(rows: list[list[int]], letters: Iterable[int]) -> None:
+    """Row-insert the letters, in order, into mutable rows.
 
     At each row the incoming letter replaces the leftmost entry strictly
     larger than it (equal entries are passed over) and the replaced entry
     drops to the next row; with nothing larger, the letter lands at the end.
     """
-    r = -1
     for a in letters:
         r = 0
         while True:
@@ -41,7 +33,6 @@ def _bump(rows: list[list[int]], letters: Iterable[int]) -> int:
             i = bisect_right(row, a)
             a, row[i] = row[i], a
             r += 1
-    return r
 
 
 def _column_bump(rows: list[list[int]], letters: Iterable[int]) -> list[tuple[int, int]]:
@@ -97,16 +88,8 @@ def _unbump(rows: list[list[int]], r: int) -> int:
     return v
 
 
-def insert_letter(t: SemiStandardTableau, a: int) -> InsertionOutcome:
-    a = int(a)
-    _check_letter(a, t.n)
-    rows = [list(row) for row in t.rows]
-    r = _bump(rows, (a,))
-    return InsertionOutcome(SemiStandardTableau(rows, t.n, validate=False), (r + 1, len(rows[r])))
-
-
 def insert_word(t: SemiStandardTableau, word: Iterable[int]) -> SemiStandardTableau:
-    """Fold of :func:`insert_letter` over the word, left to right."""
+    """Row-insert the word's letters into the tableau, left to right."""
     letters = [int(a) for a in word]
     for a in letters:
         _check_letter(a, t.n)
@@ -163,16 +146,3 @@ def knuth_neighbors(w: tuple[int, ...]) -> list[tuple[int, ...]]:
         if p <= r < q or q <= r < p:
             out.append(w[:i] + (q, p, r) + w[i + 3:])
     return out
-
-
-def tableau_from_row_word(word: Sequence[int], shape: Sequence[int], n: int) -> SemiStandardTableau:
-    """Rebuild the tableau of a known shape from its row word; validates."""
-    shape = tuple(shape)
-    if sum(shape) != len(word):
-        raise TableauError(f"word length {len(word)} does not fill shape {shape}")
-    rows: list[tuple[int, ...]] = []
-    pos = 0
-    for length in reversed(shape):
-        rows.append(tuple(word[pos:pos + length]))
-        pos += length
-    return SemiStandardTableau(tuple(reversed(rows)), n)

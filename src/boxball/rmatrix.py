@@ -141,15 +141,21 @@ def oracle_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
     return RResult(left, right, _energy_from_shape(product.shape, k, l, kp, lp))
 
 
+def braid_holds(swap, x, y, z) -> bool:
+    """Compare the two three-factor compositions of a pair map on x ⊗ y ⊗ z.
+
+    ``swap(a, b)`` returns the exchanged pair first, then anything else.
+    """
+
+    def s12(a, b, c):
+        return (*swap(a, b)[:2], c)
+
+    def s23(a, b, c):
+        return (a, *swap(b, c)[:2])
+
+    return s12(*s23(*s12(x, y, z))) == s23(*s12(*s23(x, y, z)))
+
+
 def yang_baxter_holds(x: SemiStandardTableau, y: SemiStandardTableau, z: SemiStandardTableau) -> bool:
     """Compare the two three-factor compositions of R on x ⊗ y ⊗ z."""
-
-    def r12(a, b, c):
-        res = apply_r(a, b)
-        return res.left_out, res.right_out, c
-
-    def r23(a, b, c):
-        res = apply_r(b, c)
-        return a, res.left_out, res.right_out
-
-    return r12(*r23(*r12(x, y, z))) == r23(*r12(*r23(x, y, z)))
+    return braid_holds(apply_r, x, y, z)

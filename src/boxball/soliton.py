@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bbs import BbsState, Carrier, vacuum_column
 from .crystal import CrystalTensor, sp, unsplit
-from .rmatrix import apply_r
+from .rmatrix import apply_r, braid_holds
 from .tableau import SemiStandardTableau
 
 
@@ -203,17 +203,7 @@ def predict_final(cfg: SolitonConfig) -> tuple[Soliton, ...]:
 
 def scattering_yang_baxter(s1: Soliton, s2: Soliton, s3: Soliton) -> bool:
     """Both bracketings of the three-body factorization give the same triple."""
-
-    def on_left(triple):
-        b, a, _ = predict_two_body(triple[0], triple[1])
-        return b, a, triple[2]
-
-    def on_right(triple):
-        c, b, _ = predict_two_body(triple[1], triple[2])
-        return triple[0], c, b
-
-    start = (s1, s2, s3)
-    return on_left(on_right(on_left(start))) == on_right(on_left(on_right(start)))
+    return braid_holds(predict_two_body, s1, s2, s3)
 
 
 @dataclass(frozen=True)

@@ -151,13 +151,6 @@ class SemiStandardTableau:
         return hash(self.rows)
 
 
-def content(x) -> Counter:
-    """Letter multiset of a tableau or of a plain word."""
-    if isinstance(x, SemiStandardTableau):
-        return x.content()
-    return Counter(int(a) for a in x)
-
-
 def restrict(word: Iterable[int], lo: int, hi: int) -> Word:
     """Subword of the letters lying in ``[lo, hi]``, order preserved."""
     if lo > hi:

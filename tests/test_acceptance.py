@@ -9,6 +9,7 @@ import random
 import pytest
 
 from boxball import (
+    BbsState,
     CrystalTensor,
     RResult,
     SemiStandardTableau,
@@ -31,7 +32,6 @@ from boxball import (
     scattering_yang_baxter,
     soliton_spectrum,
     state_to_tensor,
-    tensor_to_state,
     window_word,
     yang_baxter_holds,
 )
@@ -292,7 +292,7 @@ def test_criterion_8ix_operators_commute_with_evolution():
         def act(state):
             tensor = state_to_tensor(state)
             moved = tensor.apply_f(i) if lowering else tensor.apply_e(i)
-            return None if moved is None else tensor_to_state(moved, state.k, state.offset)
+            return None if moved is None else BbsState(moved.n, state.k, state.offset, moved.factors)
 
         q = act(p)
         if q is None:

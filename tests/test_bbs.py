@@ -22,7 +22,6 @@ from boxball import (
     restrict,
     soliton_spectrum,
     state_to_tensor,
-    tensor_to_state,
     window_word,
 )
 from boxball.bbs import (
@@ -509,7 +508,7 @@ class TestConservation:
                 moved = tensor.apply_f(i) if lowering else tensor.apply_e(i)
                 if moved is None:
                     return None
-                return tensor_to_state(moved, state.k, state.offset)
+                return BbsState(moved.n, state.k, state.offset, moved.factors)
 
             q = act(p)
             if q is None:
@@ -617,6 +616,10 @@ class TestTextFormat:
         with pytest.raises(StateParseError) as err:
             parse_state("n=4 k=2\n\n")
         assert err.value.line == 1
+        for parse in (parse_state, parse_trajectory):
+            with pytest.raises(StateParseError, match="empty input") as err:
+                parse("")
+            assert (err.value.line, err.value.column) == (1, 1)
 
     def test_column_errors_carry_position(self):
         with pytest.raises(StateParseError) as err:

@@ -1,8 +1,19 @@
+import random
+from operator import attrgetter
+
 import pytest
 
-from boxball import RResult, SemiStandardTableau, parse_state, parse_trajectory
+from boxball import (
+    RResult,
+    SemiStandardTableau,
+    SolitonConfig,
+    parse_state,
+    parse_trajectory,
+    predict_final,
+)
 from boxball.bbs import Carrier
 from boxball.cli import main
+from boxball.sampling import random_soliton
 from conftest import INTRO_K1_TEXT, INTRO_K2_TEXT, SPECTRUM_TEXTS, THREE_SOLITON_TEXT
 
 SCATTER_GOLDEN = """\
@@ -132,6 +143,51 @@ class TestScatter:
         assert code == 1
         assert "detection failure" in out
 
+    def test_stopped_mid_collision(self, capsys, state_file):
+        # After three steps the two leading solitons are merged into one run.
+        path = state_file(THREE_SOLITON_TEXT)
+        code, out, _ = run(capsys, "scatter", "--input", path, "--l", "3", "--steps", "3")
+        assert code == 1
+        trajectory = "\n".join(SCATTER_GOLDEN.split("\n")[:5])
+        assert out == trajectory + "\n\nno soliton decomposition after 3 steps\n"
+
+    def test_stable_sort_pairs_like_a_length_search(self):
+        # Scatter prints each outgoing soliton's shift against the initial
+        # soliton at the same place in the length-sorted order.  The search
+        # it replaced matched each outgoing soliton to the first unused
+        # initial soliton of its length.
+        def search_pairing(initial, outgoing):
+            used = [False] * len(initial)
+            phases = []
+            for s in outgoing:
+                for i, s0 in enumerate(initial):
+                    if not used[i] and s0.length == s.length:
+                        used[i] = True
+                        phases.append(s0.phase)
+                        break
+                else:
+                    phases.append(None)
+            return phases
+
+        rng = random.Random(11)
+        repeated = 0
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            n = rng.randint(k + 1, 7)
+            sols, pos = [], rng.randint(0, 3)
+            for _ in range(rng.randint(1, 4)):
+                d = rng.randint(1, 3)
+                sols.append(random_soliton(rng, k, d, n, pos))
+                pos += d + rng.randint(0, 3)
+            initial = tuple(sols)
+            outgoing = predict_final(SolitonConfig(n, k, initial))
+            lengths = [s.length for s in outgoing]
+            assert lengths == sorted(lengths)
+            starts = sorted(initial, key=attrgetter("length"))
+            assert [s.phase for s in starts] == search_pairing(initial, outgoing)
+            repeated += len(set(lengths)) < len(lengths)
+        assert repeated >= 100
+
 
 class TestSmallCommands:
     def test_rmatrix_golden(self, capsys):
@@ -249,6 +305,9 @@ class TestUsageErrors:
         code, _, err = run(capsys, "evolve", "--input", path)
         assert code == 2
         assert "line 2" in err
+        path = state_file("", name="empty.txt")
+        code, out, err = run(capsys, "spectrum", "--input", path)
+        assert (code, out, err) == (2, "", "error: line 1, column 1: empty input\n")
 
     def test_header_k_not_below_n(self, capsys, state_file):
         path = state_file("n=3 k=3 offset=0\n\n")

@@ -6,8 +6,6 @@ import pytest
 from boxball import (
     CrystalTensor,
     SemiStandardTableau,
-    apply_e_tableau,
-    apply_f_tableau,
     enumerate_tableaux,
     sp,
     unsplit,
@@ -131,14 +129,12 @@ class TestOperators:
             for l in (1, 2):
                 for t in enumerate_tableaux((l,) * k, 4):
                     for i in range(1, 4):
-                        out = apply_f_tableau(t, i)
-                        if out is not None:
-                            assert out.shape == t.shape
-                            SemiStandardTableau(out.rows, 4)
-                        out = apply_e_tableau(t, i)
-                        if out is not None:
-                            assert out.shape == t.shape
-                            SemiStandardTableau(out.rows, 4)
+                        ct = CrystalTensor((t,))
+                        for moved in (ct.apply_f(i), ct.apply_e(i)):
+                            if moved is not None:
+                                out = moved.factors[0]
+                                assert out.shape == t.shape
+                                SemiStandardTableau(out.rows, 4)
 
 
 class TestReductionConfluence:

@@ -6,13 +6,11 @@ import pytest
 from boxball import (
     SemiStandardTableau,
     enumerate_tableaux,
-    insert_letter,
     insert_word,
     knuth_equivalent,
     outer_corners,
     rectify,
     restrict,
-    tableau_from_row_word,
     uninsert,
 )
 from boxball.insertion import _column_bump
@@ -37,22 +35,32 @@ def all_small_tableaux(max_cells, n):
     return out
 
 
+def added_cell(before, after):
+    """1-based (row, column) of the one box ``after`` has beyond ``before``."""
+    old = before.shape + (0,)
+    r = next(r for r, m in enumerate(after.shape) if m != old[r])
+    return r + 1, after.shape[r]
+
+
 class TestInsertLetter:
     def test_into_empty(self):
-        res = insert_letter(SemiStandardTableau.empty(5), 5)
-        assert res.tableau == T("5", 5)
-        assert res.new_cell == (1, 1)
+        t = SemiStandardTableau.empty(5)
+        out = insert_word(t, (5,))
+        assert out == T("5", 5)
+        assert added_cell(t, out) == (1, 1)
 
     def test_appends_without_bump(self):
-        res = insert_letter(T("1", 3), 1)
-        assert res.tableau == T("1 1", 3)
-        assert res.new_cell == (1, 2)
+        t = T("1", 3)
+        out = insert_word(t, (1,))
+        assert out == T("1 1", 3)
+        assert added_cell(t, out) == (1, 2)
 
     def test_equal_entries_passed_over(self):
         # the bumped entry must be strictly larger
-        res = insert_letter(T("1 2 2 3", 4), 2)
-        assert res.tableau == T("1 2 2 2 / 3", 4)
-        assert res.new_cell == (2, 1)
+        t = T("1 2 2 3", 4)
+        out = insert_word(t, (2,))
+        assert out == T("1 2 2 2 / 3", 4)
+        assert added_cell(t, out) == (2, 1)
 
     def test_worked_chain(self):
         t = insert_word(T("2/5", 6), (4, 4, 6, 2, 3, 5, 1, 2, 4))
@@ -62,10 +70,10 @@ class TestInsertLetter:
         rng = random.Random(3)
         for t in all_small_tableaux(5, 4):
             a = rng.randint(1, 4)
-            res = insert_letter(t, a)
-            assert res.tableau.size == t.size + 1
-            SemiStandardTableau(res.tableau.rows, 4)  # revalidate
-            assert res.new_cell in outer_corners(res.tableau)
+            out = insert_word(t, (a,))
+            assert out.size == t.size + 1
+            SemiStandardTableau(out.rows, 4)  # revalidate
+            assert added_cell(t, out) in outer_corners(out)
 
 
 class TestInsertWord:
@@ -102,8 +110,8 @@ class TestUninsert:
     def test_round_trip_exhaustive(self):
         for t in all_small_tableaux(6, 4):
             for a in range(1, 5):
-                forward = insert_letter(t, a)
-                back, letter = uninsert(forward.tableau, forward.new_cell)
+                forward = insert_word(t, (a,))
+                back, letter = uninsert(forward, added_cell(t, forward))
                 assert back == t
                 assert letter == a
 
@@ -194,12 +202,3 @@ class TestKnuthEquivalence:
             for cut in range(1, 6):
                 assert knuth_equivalent(restrict(w, 1, cut), restrict(v, 1, cut))
 
-
-class TestRowWordRebuild:
-    def test_round_trip(self):
-        for t in all_small_tableaux(6, 4):
-            assert tableau_from_row_word(t.row_word(), t.shape, 4) == t
-
-    def test_rejects_bad_word(self):
-        with pytest.raises(Exception):
-            tableau_from_row_word((1, 2), (1,), 4)

@@ -194,6 +194,10 @@ class TestYangBaxter:
         z = T("1 / 3 / 5", 6)
         assert yang_baxter_holds(x, y, z)
 
+    def test_braid_check_is_not_vacuous(self):
+        assert rmatrix.braid_holds(lambda u, v: (v, u), 1, 2, 3)
+        assert not rmatrix.braid_holds(lambda u, v: (v, u + v), 1, 2, 3)
+
 
 def random_rectangle(rng, k, l, n):
     # Sorting each row across l random columns keeps the columns strictly increasing.

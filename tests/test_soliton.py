@@ -92,6 +92,26 @@ class TestEncode:
     def test_rejects_increasing_run(self):
         with pytest.raises(SolitonDetectionError):
             encode(cols("1/2/4", "2/3/4", n=5))
+        with pytest.raises(ValueError, match="at least one column"):
+            encode(())
+
+    @pytest.mark.parametrize("internal, message", [
+        ("4 4 / 5", "nonempty rectangle"),
+        ("1 3 / 4 5", "row 1 letters must be at most 2"),
+        ("1 2 / 2 5", "bottom-row letters must exceed 2"),
+    ])
+    def test_soliton_rejects_bad_internal(self, internal, message):
+        with pytest.raises(ValueError, match=message):
+            Soliton(0, T(internal, 5))
+
+    def test_config_rejects_overlap_and_mismatch(self):
+        a, b = Soliton(0, T("4 4", 5)), Soliton(1, T("4", 5))
+        with pytest.raises(ValueError, match="overlap"):
+            SolitonConfig(5, 1, (a, b))
+        with pytest.raises(ValueError, match="must match"):
+            SolitonConfig(5, 2, (a,))
+        with pytest.raises(ValueError, match="must match"):
+            SolitonConfig(6, 1, (a,))
 
     def test_capacity_one_split(self):
         s = encode(cols("3", "2", n=3))
