@@ -17,19 +17,12 @@ from .bbs import (
     parse_state,
     parse_trajectory,
     soliton_spectrum,
-    state_to_tensor,
     vacuum_block,
     vacuum_column,
     window_word,
 )
 from .crystal import CrystalTensor, sp, unsplit
-from .insertion import (
-    insert_word,
-    knuth_equivalent,
-    outer_corners,
-    rectify,
-    uninsert,
-)
+from .insertion import insert_word, knuth_equivalent, rectify
 from .rmatrix import (
     RMatrixError,
     RResult,

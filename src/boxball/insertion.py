@@ -98,31 +98,6 @@ def insert_word(t: SemiStandardTableau, word: Iterable[int]) -> SemiStandardTabl
     return SemiStandardTableau(rows, t.n, validate=False)
 
 
-def outer_corners(t: SemiStandardTableau) -> list[tuple[int, int]]:
-    """Cells (1-based) whose removal leaves a partition shape."""
-    shape = t.shape
-    return [
-        (r + 1, length)
-        for r, length in enumerate(shape)
-        if r + 1 == len(shape) or shape[r + 1] < length
-    ]
-
-
-def uninsert(t: SemiStandardTableau, corner: tuple[int, int]) -> tuple[SemiStandardTableau, int]:
-    """Reverse one row insertion, removing the box at ``corner``.
-
-    The letter ejected from the first row is returned alongside the shrunken
-    tableau.
-    """
-    if corner not in outer_corners(t):
-        raise ValueError(f"{corner} is not an outer corner of shape {t.shape}")
-    rows = [list(row) for row in t.rows]
-    v = _unbump(rows, corner[0] - 1)
-    if not rows[-1]:
-        rows.pop()
-    return SemiStandardTableau(rows, t.n, validate=False), v
-
-
 def rectify(word: Iterable[int], n: int | None = None) -> SemiStandardTableau:
     """Tableau obtained by row-inserting the word into the empty tableau."""
     letters = tuple(int(a) for a in word)

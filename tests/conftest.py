@@ -4,12 +4,26 @@ from __future__ import annotations
 
 import pytest
 
-from boxball import BbsState, SemiStandardTableau, parse_state
+from boxball import BbsState, SemiStandardTableau, enumerate_tableaux, parse_state
 from boxball.insertion import knuth_neighbors  # noqa: F401  (re-exported for the test modules)
 
 
 def T(text: str, n: int) -> SemiStandardTableau:
     return SemiStandardTableau.parse(text, n)
+
+
+def cols(*texts: str, n: int) -> list[SemiStandardTableau]:
+    return [SemiStandardTableau.parse(t, n) for t in texts]
+
+
+def small_rectangles(n: int, kmax: int = 2, lmax: int = 2) -> list[SemiStandardTableau]:
+    """Every k x l rectangle over 1..n with k <= min(kmax, n - 1) and l <= lmax,
+    as a list: some callers iterate it twice."""
+    out = []
+    for k in range(1, min(kmax, n - 1) + 1):
+        for l in range(1, lmax + 1):
+            out.extend(enumerate_tableaux((l,) * k, n))
+    return out
 
 
 # Three-soliton state whose six evolution steps and scattering data are known

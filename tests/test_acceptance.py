@@ -20,7 +20,6 @@ from boxball import (
     detect,
     energy_e,
     energy_h,
-    enumerate_tableaux,
     evolve,
     knuth_equivalent,
     oracle_r,
@@ -31,7 +30,6 @@ from boxball import (
     run_experiment,
     scattering_yang_baxter,
     soliton_spectrum,
-    state_to_tensor,
     window_word,
     yang_baxter_holds,
 )
@@ -51,6 +49,7 @@ from conftest import (
     THREE_SOLITON_TEXT,
     THREE_SOLITON_TRAJECTORY,
     T,
+    small_rectangles,
 )
 
 TRIALS = 100
@@ -58,14 +57,6 @@ TRIALS = 100
 
 def report(criterion: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
-
-
-def small_rectangles(n, kmax=2, lmax=2):
-    out = []
-    for k in range(1, min(kmax, n - 1) + 1):
-        for l in range(1, lmax + 1):
-            out.extend(enumerate_tableaux((l,) * k, n))
-    return out
 
 
 def test_criterion_1_combinatorial_r_golden():
@@ -290,7 +281,7 @@ def test_criterion_8ix_operators_commute_with_evolution():
         lowering = rng.random() < 0.5
 
         def act(state):
-            tensor = state_to_tensor(state)
+            tensor = CrystalTensor(state.columns, state.n)
             moved = tensor.apply_f(i) if lowering else tensor.apply_e(i)
             return None if moved is None else BbsState(moved.n, state.k, state.offset, moved.factors)
 

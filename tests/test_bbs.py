@@ -8,6 +8,7 @@ from boxball import (
     BbsState,
     CarrierError,
     CarrierTrace,
+    CrystalTensor,
     RResult,
     SemiStandardTableau,
     apply_r,
@@ -21,7 +22,6 @@ from boxball import (
     rectify,
     restrict,
     soliton_spectrum,
-    state_to_tensor,
     window_word,
 )
 from boxball.bbs import (
@@ -268,6 +268,8 @@ class TestTransducer:
             carrier.sweep(parse_state("n=3 k=1 offset=0\n3 3 2\n"))
             with pytest.raises(ValueError, match="n=4"):
                 carrier.sweep(parse_state("n=4 k=1 offset=0\n3 3 2\n"))
+        with pytest.raises(ValueError, match="width must be positive"):
+            Carrier(3, 1, 0)
 
     def test_carrier_error_at_the_stated_bound(self, monkeypatch):
         # An R whose carrier never comes back to rest trips the guard once
@@ -297,6 +299,22 @@ class TestSweepBound:
                         sites += 1
                     slowest = max(slowest, sites)
                 assert slowest == l, (k, l)
+
+    def test_each_vacuum_site_brings_one_more_column_to_rest(self):
+        # The per-site fact behind the bound: R against the vacuum column
+        # leaves the carrier at least one fewer column that differs from 1..k.
+        carriers = away = 0
+        for n in range(2, 6):
+            for k in range(1, n):
+                vac, rest = vacuum_column(k, n), tuple(range(1, k + 1))
+                for l in range(1, 4):
+                    for c in enumerate_tableaux((l,) * k, n):
+                        before = sum(col != rest for col in c.columns())
+                        after = sum(col != rest for col in apply_r(c, vac).right_out.columns())
+                        assert after <= max(before - 1, 0), (k, l, c.rows)
+                        carriers += 1
+                        away += before > 0
+        assert (carriers, away) == (771, 741)
 
     def test_dense_sweeps_end_within_l_sites_past_the_support(self):
         rng = random.Random(61)
@@ -504,7 +522,7 @@ class TestConservation:
             lowering = rng.random() < 0.5
 
             def act(state):
-                tensor = state_to_tensor(state)
+                tensor = CrystalTensor(state.columns, state.n)
                 moved = tensor.apply_f(i) if lowering else tensor.apply_e(i)
                 if moved is None:
                     return None
@@ -556,6 +574,8 @@ class TestConservedTableaux:
         low_t1, high_t1 = conserved_tableaux(q, l, "left", window)
         assert low_t == low_t1
         assert high_t == high_t1
+        with pytest.raises(ValueError, match="carrier_side"):
+            conserved_tableaux(p, l, "middle")
 
     def test_cross_step_identity_random(self):
         rng = random.Random(62)
@@ -611,6 +631,13 @@ class TestTextFormat:
         text = format_trajectory(states)
         assert parse_trajectory(text) == states
         assert format_trajectory(parse_trajectory(text)) == text
+        with pytest.raises(ValueError, match="empty trajectory"):
+            format_trajectory([])
+        other = parse_state("n=4 k=1 offset=0\n3 2\n")
+        with pytest.raises(ValueError, match="share n and k"):
+            format_trajectory([parse_state("n=5 k=1 offset=0\n3 2\n"), other])
+        with pytest.raises(ValueError, match="share n and k"):
+            format_trajectory([other, parse_state("n=4 k=2 offset=0\n3/4\n")])
 
     def test_header_errors(self):
         with pytest.raises(StateParseError) as err:

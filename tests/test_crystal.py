@@ -11,11 +11,7 @@ from boxball import (
     unsplit,
 )
 from boxball.bbs import vacuum_column
-from conftest import T
-
-
-def cols(*texts, n):
-    return [SemiStandardTableau.parse(t, n) for t in texts]
+from conftest import T, cols
 
 
 class TestSp:
@@ -35,10 +31,18 @@ class TestSp:
     def test_rejects_non_rectangular(self):
         with pytest.raises(ValueError):
             sp(T("1 2 / 3", 4))
+        with pytest.raises(ValueError, match="rectangular"):
+            CrystalTensor([T("1 2 / 3", 4)])
+        with pytest.raises(ValueError, match="explicit alphabet bound"):
+            CrystalTensor(())
+        with pytest.raises(ValueError, match="share the alphabet bound"):
+            CrystalTensor([T("1", 3), T("1", 4)])
 
     def test_unsplit_inverts(self):
         for t in enumerate_tableaux((2, 2), 4):
             assert unsplit(sp(t)) == t
+        with pytest.raises(ValueError, match="single-column"):
+            unsplit(CrystalTensor([T("1 2", 3)]))
 
 
 class TestSignature:

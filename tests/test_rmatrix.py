@@ -21,13 +21,7 @@ from boxball import rmatrix
 from boxball.bbs import BbsState, Carrier, vacuum_block, vacuum_column
 from boxball.insertion import _column_bump
 from boxball.sampling import random_column
-from conftest import T
-
-
-def small_rectangles(n, kmax=2, lmax=2):
-    for k in range(1, min(kmax, n - 1) + 1):
-        for l in range(1, lmax + 1):
-            yield from enumerate_tableaux((l,) * k, n)
+from conftest import T, small_rectangles
 
 
 def r_on_tensor(ct):
@@ -84,6 +78,7 @@ class TestZeroRowConvention:
         t = T("1 2 / 2 3", 4)
         assert apply_r(t, e) == RResult(e, t, 0)
         assert apply_r(e, t) == RResult(t, e, 0)
+        assert oracle_r(e, t) == apply_r(e, t)
 
 
 class TestAgainstOracle:
@@ -106,7 +101,7 @@ class TestProperties:
 
     def test_content_conserved(self):
         rng = random.Random(2)
-        pool = list(small_rectangles(4))
+        pool = small_rectangles(4)
         for _ in range(200):
             x, y = rng.choice(pool), rng.choice(pool)
             res = apply_r(x, y)
@@ -116,7 +111,7 @@ class TestProperties:
 
     def test_equivariance(self):
         rng = random.Random(4)
-        pool = list(small_rectangles(4))
+        pool = small_rectangles(4)
         for _ in range(150):
             x, y = rng.choice(pool), rng.choice(pool)
             ct = CrystalTensor((x, y), 4)
@@ -135,7 +130,7 @@ class TestProperties:
 
     def test_energy_invariant_under_classical_operators(self):
         rng = random.Random(6)
-        pool = list(small_rectangles(4))
+        pool = small_rectangles(4)
         for _ in range(150):
             x, y = rng.choice(pool), rng.choice(pool)
             h = energy_h(x, y)

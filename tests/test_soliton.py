@@ -4,6 +4,7 @@ import pytest
 
 from boxball import (
     BbsState,
+    CrystalTensor,
     SemiStandardTableau,
     Soliton,
     SolitonConfig,
@@ -22,14 +23,10 @@ from boxball import (
     predict_two_body,
     run_experiment,
     scattering_yang_baxter,
-    state_to_tensor,
 )
+from boxball.bbs import vacuum_column
 from boxball.sampling import random_soliton, random_two_soliton_config
-from conftest import T, THREE_SOLITON_TEXT
-
-
-def cols(*texts, n):
-    return [SemiStandardTableau.parse(t, n) for t in texts]
+from conftest import T, THREE_SOLITON_TEXT, cols
 
 
 class TestDetect:
@@ -94,6 +91,8 @@ class TestEncode:
             encode(cols("1/2/4", "2/3/4", n=5))
         with pytest.raises(ValueError, match="at least one column"):
             encode(())
+        with pytest.raises(SolitonDetectionError, match="bottom letter must exceed 2"):
+            encode([vacuum_column(2, 4)])
 
     @pytest.mark.parametrize("internal, message", [
         ("4 4 / 5", "nonempty rectangle"),
@@ -128,6 +127,8 @@ class TestVacuumAlphabet:
         assert va.two("-") == T("1/2/5", 5)
         assert va.three() == T("1/3/5", 5)
         assert va.four() == T("1/4/5", 5)
+        with pytest.raises(ValueError, match="sign"):
+            VacuumAlphabet(2, 4).two("x")
 
     def test_capacity_one_degenerates(self):
         va = VacuumAlphabet(1, 3)
@@ -197,6 +198,8 @@ class TestPredictTwoBody:
         t = Soliton(5, T("4 4", 5))
         with pytest.raises(ValueError):
             predict_two_body(s, t)
+        with pytest.raises(ValueError, match="share k"):
+            predict_two_body(Soliton(0, T("1 1 1 / 4 4 4", 5)), t)
 
 
 class TestScatteringYangBaxter:
@@ -269,6 +272,8 @@ class TestHighestWeightFamily:
             highest_weight_two_soliton(5, 2, 0, 2, 5, 1, 3, 3, "+")
         with pytest.raises(ValueError):
             highest_weight_two_soliton(5, 2, 0, 3, 2, 0, 0, 2, "+")
+        with pytest.raises(ValueError, match="alpha"):
+            highest_weight_two_soliton(5, 2, 0, 3, 5, 2, 1, 2, "+")
 
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_killed_by_classical_raising(self, sign):
@@ -277,7 +282,8 @@ class TestHighestWeightFamily:
             for alpha in range(d2 + 1):
                 for beta in range(d2 - alpha + 1):
                     p = highest_weight_two_soliton(n, k, 0, 3, 5, alpha, beta, d2, sign)
-                    tensor = state_to_tensor(p, p.offset - 1, p.offset + p.support + 1)
+                    window = range(p.offset - 1, p.offset + p.support + 1)
+                    tensor = CrystalTensor([p.column_at(i) for i in window], p.n)
                     assert tensor.is_highest(i for i in range(1, n) if i != k)
 
     @pytest.mark.parametrize("sign", ["+", "-"])

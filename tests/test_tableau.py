@@ -49,6 +49,11 @@ class TestValidation:
     def test_shape_must_be_partition(self):
         with pytest.raises(TableauError):
             SemiStandardTableau([(1,), (2, 3)], 4)
+        with pytest.raises(TableauError, match="nonempty"):
+            SemiStandardTableau([(1,), ()], 3)
+        shapes = enumerate_tableaux((1, 2), 3)  # a generator: raises on first next
+        with pytest.raises(ValueError, match="partition"):
+            next(shapes)
 
     def test_equality_ignores_alphabet_bound(self):
         assert T("1 2", 4) == T("1 2", 7)
@@ -170,6 +175,7 @@ class TestEnumeration:
         tabs = list(enumerate_tableaux((2, 2), 4, weight={1: 1, 2: 2, 3: 1}))
         assert all(t.content() == Counter({2: 2, 1: 1, 3: 1}) for t in tabs)
         assert tabs == [T("1 2 / 2 3", 4)]
+        assert list(enumerate_tableaux((2,), 3, weight={1: 1})) == []
 
 
 class TestEnumerationOrder:
