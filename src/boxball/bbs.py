@@ -18,7 +18,7 @@ from itertools import chain, repeat
 from operator import attrgetter
 
 from .insertion import rectify
-from .rmatrix import apply_r
+from .rmatrix import _r_rows
 from .tableau import SemiStandardTableau, TableauError, Word, restrict
 
 
@@ -121,8 +121,10 @@ class Carrier:
 
     Its table ``(carrier id, column rows) -> (output, next carrier id, H)``,
     carriers interned to ints with 0 the rest value, lives exactly as long as
-    the object.  It never sweeps a state over another (n, k): tableau
-    equality ignores ``n``, so the table would mix alphabets.
+    the object.  A miss evaluates R on rows with :func:`rmatrix._r_rows`;
+    emitted columns are interned by their rows, so the table's values hold at
+    most C(n, k) output tableaux.  It never sweeps a state over another
+    (n, k): tableau equality ignores ``n``, so the table would mix alphabets.
     """
 
     def __init__(self, n: int, k: int, l: int):
@@ -131,13 +133,15 @@ class Carrier:
         self.n, self.k, self.l = n, k, l
         self.carriers = [vacuum_block(k, l, n)]
         self.carrier_ids = {self.carriers[0].rows: 0}
+        self.emitted: dict = {}
         self.table: dict = {}
 
     def sweep(self, p: BbsState) -> tuple[BbsState, CarrierTrace]:
         """One time step of the width-l evolution; see :func:`evolve`."""
         if (p.n, p.k) != (self.n, self.k):
             raise ValueError(f"state over n={p.n}, k={p.k} given to a carrier over n={self.n}, k={self.k}")
-        l, carriers, carrier_ids, table = self.l, self.carriers, self.carrier_ids, self.table
+        n, l, carriers, carrier_ids, emitted, table = (
+            self.n, self.l, self.carriers, self.carrier_ids, self.emitted, self.table)
         support = p.support
         cid = 0
         ids = [0]
@@ -149,13 +153,16 @@ class Carrier:
             key = (cid, b.rows)
             hit = table.get(key)
             if hit is None:
-                # apply_r is looked up in the module globals on every miss, so a
-                # patched or traced R sees each evaluation.
-                out, carrier, h = apply_r(carriers[cid], b)
-                nid = carrier_ids.get(carrier.rows)
+                # _r_rows is looked up in the module globals on every miss, so a
+                # patched R sees each evaluation.
+                left, right, h = _r_rows(carriers[cid].rows, b.rows, n)
+                nid = carrier_ids.get(right)
                 if nid is None:
-                    nid = carrier_ids[carrier.rows] = len(carriers)
-                    carriers.append(carrier)
+                    nid = carrier_ids[right] = len(carriers)
+                    carriers.append(SemiStandardTableau(right, n, validate=False))
+                out = emitted.get(left)
+                if out is None:
+                    out = emitted[left] = SemiStandardTableau(left, n, validate=False)
                 hit = table[key] = (out, nid, h)
             out, cid, h = hit
             outputs.append(out)

@@ -10,8 +10,8 @@ in it: no search, no fallback.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
-from operator import eq, lt
+from itertools import chain, repeat
+from operator import lt
 from typing import NamedTuple
 
 from .insertion import _bump, _check_letter, _column_bump, _unbump, insert_word
@@ -57,27 +57,26 @@ def energy_h(x: SemiStandardTableau, y: SemiStandardTableau) -> int:
     return _energy_from_shape(product.shape, x.num_rows, x.num_cols, y.num_rows, y.num_cols)
 
 
-def apply_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
-    """Evaluate the combinatorial R on x ⊗ y.
+def _r_rows(xrows, yrows, n: int) -> tuple[tuple, tuple, int]:
+    """R on the rows of x ⊗ y over 1..n: ``(left_rows, right_rows, H)``.
 
     Builds the row-insertion product of x into y by column-inserting y's row
     word, right to left, into x, so none of x's letters is re-inserted and a
     sweep step's work does not grow with the carrier's width.  Then it
     reverse-bumps the boxes y's letters added, last landed first, and reads
     the left output off the ejected letters.  A failed check raises
-    :class:`RMatrixError`; ``oracle_r`` is never consulted.
+    :class:`RMatrixError`; ``oracle_r`` is never consulted.  The operands'
+    shapes and alphabets are not checked: :func:`apply_r` does that.
     """
-    _check_pair(x, y)
-    xrows, yrows = x.rows, y.rows
     if not (xrows and yrows):
         # Degenerate zero-row component: R swaps, with zero energy.
-        return RResult(y, x, 0)
-    k, l, kp, lp, n = len(xrows), len(xrows[0]), len(yrows), len(yrows[0]), x.n
+        return yrows, xrows, 0
+    k, l, kp, lp = len(xrows), len(xrows[0]), len(yrows), len(yrows[0])
     # Rows and columns increase, so two corners bound every letter of y.
     _check_letter(yrows[0][0], n)
     _check_letter(yrows[-1][-1], n)
     rows = list(map(list, xrows))
-    landed = _column_bump(rows, reversed(y.row_word()))
+    landed = _column_bump(rows, chain.from_iterable(map(reversed, yrows)))
     product = [row[:] for row in rows]
     shape = tuple(map(len, rows))
     rows.append([])  # the empty row below the last one
@@ -94,18 +93,25 @@ def apply_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
     # The peel ejects the left output's rows from the top, each right to left:
     # its columns strictly increase when each letter is less than the one lp
     # places after it.
-    left_rows = [ejected[s:s + lp][::-1] for s in range(0, kp * lp, lp)]
+    left_rows = tuple([tuple(ejected[s:s + lp][::-1]) for s in range(0, kp * lp, lp)])
     if not (1 <= min(ejected) and max(ejected) <= n and all(map(lt, ejected, ejected[lp:]))
-            and all(map(eq, left_rows, map(sorted, left_rows)))):
+            and all([row == tuple(sorted(row)) for row in left_rows])):
         raise RMatrixError(f"the peeled letters {ejected} do not form a tableau over 1..{n}")
-    left = SemiStandardTableau(left_rows, n, validate=False)
     del rows[k:]
-    check = [row[:] for row in rows]
-    _bump(check, reversed(ejected))  # the left output's row word
-    if check != product:
+    right_rows = tuple(map(tuple, rows))
+    _bump(rows, reversed(ejected))  # the left output's row word
+    if rows != product:
         raise RMatrixError("re-inserting the left output does not give the product back")
-    right = SemiStandardTableau(rows, n, validate=False)
-    return RResult(left, right, _energy_from_shape(shape, k, l, kp, lp))
+    return left_rows, right_rows, _energy_from_shape(shape, k, l, kp, lp)
+
+
+def apply_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:
+    """Evaluate the combinatorial R on x ⊗ y: check that the operands are
+    rectangles over one alphabet, then wrap the rows :func:`_r_rows` returns
+    in tableaux."""
+    _check_pair(x, y)
+    left, right, h = _r_rows(x.rows, y.rows, x.n)
+    return RResult(SemiStandardTableau(left, x.n, validate=False), SemiStandardTableau(right, x.n, validate=False), h)
 
 
 def oracle_r(x: SemiStandardTableau, y: SemiStandardTableau) -> RResult:

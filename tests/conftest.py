@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import boxball.bbs as bbs_mod
 from boxball import BbsState, SemiStandardTableau, enumerate_tableaux, parse_state
+from boxball.insertion import _column_bump
 from boxball.insertion import knuth_neighbors  # noqa: F401  (re-exported for the test modules)
 
 
@@ -14,6 +16,18 @@ def T(text: str, n: int) -> SemiStandardTableau:
 
 def cols(*texts: str, n: int) -> list[SemiStandardTableau]:
     return [SemiStandardTableau.parse(t, n) for t in texts]
+
+
+def swapped_landing(swap: int):
+    """A stand-in for ``_column_bump`` whose peel order, the reverse of the
+    landing order, has its cells ``swap`` and ``swap + 1`` exchanged."""
+
+    def swapped(rows, letters):
+        order = _column_bump(rows, letters)[::-1]  # the peel order
+        order[swap:swap + 2] = order[swap + 1], order[swap]
+        return order[::-1]
+
+    return swapped
 
 
 def small_rectangles(n: int, kmax: int = 2, lmax: int = 2) -> list[SemiStandardTableau]:
@@ -63,3 +77,10 @@ def intro_k1_state() -> BbsState:
 @pytest.fixture
 def intro_k2_state() -> BbsState:
     return parse_state(INTRO_K2_TEXT)
+
+
+@pytest.fixture
+def stuck_r(monkeypatch):
+    """A sweep R whose carrier never comes back to rest: it always carries a
+    lone 3 over n = 3, k = 1."""
+    monkeypatch.setattr(bbs_mod, "_r_rows", lambda xrows, yrows, n: (yrows, ((3,),), 0))

@@ -1,16 +1,19 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
 import boxball.bbs as bbs_mod
+import boxball.rmatrix as rmatrix
 from boxball import (
     BbsState,
     CarrierError,
     CarrierTrace,
     CrystalTensor,
-    RResult,
+    RMatrixError,
     SemiStandardTableau,
+    TableauError,
     apply_r,
     conserved_tableaux,
     energy_e,
@@ -34,6 +37,7 @@ from boxball.bbs import (
     vacuum_column,
 )
 from boxball.cli import main
+from boxball.rmatrix import _r_rows
 from boxball.sampling import random_column, random_state, random_two_soliton_config
 from boxball.soliton import run_experiment
 from conftest import (
@@ -41,6 +45,7 @@ from conftest import (
     THREE_SOLITON_TEXT,
     THREE_SOLITON_TRAJECTORY,
     T,
+    swapped_landing,
 )
 
 
@@ -143,10 +148,11 @@ def reference_evolve(p, l):
 
 
 def reference_pairs(p, l):
-    """The next state and the distinct (carrier, column) pairs of the defining sweep."""
+    """The next state and the distinct (n, carrier rows, column rows) of the
+    defining sweep."""
     q, trace = reference_evolve(p, l)
     pairs = {
-        (trace.carriers[site].rows, p.column_at(p.offset + site).rows)
+        (p.n, trace.carriers[site].rows, p.column_at(p.offset + site).rows)
         for site in range(len(trace.outputs))
     }
     return q, pairs
@@ -168,14 +174,15 @@ def assert_one_evaluation_per_distinct_pair(calls, p, l, steps):
 
 @pytest.fixture
 def r_calls(monkeypatch):
-    """Every (carrier rows, column rows) the sweeps hand to R, in order."""
+    """Every (n, carrier rows, column rows) the sweeps hand to R, in order.
+    Tableau equality ignores n, so a pair is keyed by n as well."""
     calls = []
 
-    def counting_r(x, y):
-        calls.append((x.rows, y.rows))
-        return apply_r(x, y)
+    def counting_r(xrows, yrows, n):
+        calls.append((n, xrows, yrows))
+        return _r_rows(xrows, yrows, n)
 
-    monkeypatch.setattr(bbs_mod, "apply_r", counting_r)
+    monkeypatch.setattr(bbs_mod, "_r_rows", counting_r)
     return calls
 
 
@@ -213,6 +220,9 @@ class TestTransducer:
                     assert trace.site_energies == trace_ref.site_energies
                     assert all(t.n == n for t in trace.carriers + trace.outputs)
                     p = q
+                # Emitted columns are interned: one output object per filling.
+                outputs = {id(out): out.rows for out, _, _ in carrier.table.values()}
+                assert len(outputs) == len(set(outputs.values())) <= comb(n, k)
 
     def test_one_r_evaluation_per_distinct_pair(self, r_calls):
         rng = random.Random(7)
@@ -239,19 +249,11 @@ class TestTransducer:
         assert parse_trajectory(capsys.readouterr().out)[-1] == final
 
     @pytest.mark.parametrize("invariant", ["energy", "commute"])
-    def test_one_r_evaluation_per_distinct_pair_per_cli_check(self, monkeypatch, capsys, invariant):
-        # The trials draw n from 2..5, and tableau equality ignores n, so a
-        # pair is keyed by n as well.
-        calls = []
-
-        def counting_r(x, y):
-            calls.append((x.n, x.rows, y.rows))
-            return apply_r(x, y)
-
-        monkeypatch.setattr(bbs_mod, "apply_r", counting_r)
+    def test_one_r_evaluation_per_distinct_pair_per_cli_check(self, r_calls, capsys, invariant):
+        # The trials draw n from 2..5: the fixture keys each pair by n.
         assert main(["check", "--invariant", invariant, "--trials", "40", "--seed", "3"]) == 0
         assert capsys.readouterr().out == f"check invariant={invariant} seed=3: PASS 40/40\n"
-        assert calls and len(calls) == len(set(calls))
+        assert r_calls and len(r_calls) == len(set(r_calls))
 
     def test_equal_fillings_over_different_alphabets(self):
         for text in ("n=3 k=1 offset=0\n3 3 2\n", "n=4 k=1 offset=0\n3 3 2\n",
@@ -271,14 +273,46 @@ class TestTransducer:
         with pytest.raises(ValueError, match="width must be positive"):
             Carrier(3, 1, 0)
 
-    def test_carrier_error_at_the_stated_bound(self, monkeypatch):
+    def test_carrier_error_at_the_stated_bound(self, stuck_r):
         # An R whose carrier never comes back to rest trips the guard once
         # the sweep has visited support + l sites: 3 + 1 here.
-        stuck = SemiStandardTableau.column([3], 3)
-        monkeypatch.setattr(bbs_mod, "apply_r", lambda x, y: RResult(y, stuck, 0))
         p = parse_state("n=3 k=1 offset=0\n3 3 2\n")
         with pytest.raises(CarrierError, match="within 4 sites"):
             evolve(p, 1)
+
+    @pytest.mark.parametrize("swap,message", [(0, "do not form a tableau"), (1, "not a corner")])
+    def test_sweep_keeps_every_peel_check_without_oracle(self, monkeypatch, three_soliton_state, swap, message):
+        # The sweep's R runs the peel checks of apply_r, and a failed one
+        # raises with no fallback.
+        def no_oracle(*args):
+            raise AssertionError("the sweep fell back to oracle_r")
+
+        monkeypatch.setattr(rmatrix, "_column_bump", swapped_landing(swap))
+        monkeypatch.setattr(rmatrix, "oracle_r", no_oracle)
+        with pytest.raises(RMatrixError, match=message):
+            Carrier(6, 3, 3).sweep(three_soliton_state)
+
+    def test_sweep_checks_the_column_letters(self):
+        # The state checks each column's shape and alphabet bound, not its
+        # letters; the sweep's R checks them.
+        p = BbsState(3, 1, 0, [SemiStandardTableau([(4,)], 3, validate=False)])
+        with pytest.raises(TableauError, match="letter 4 outside 1..3"):
+            Carrier(3, 1, 2).sweep(p)
+
+    def test_equal_fillings_over_different_alphabets_share_no_tableau(self):
+        # Equal fillings over n = 3 and n = 4 compare equal as tableaux; each
+        # carrier must still emit and carry tableaux over its own alphabet.
+        sides = []
+        for n in (3, 4):
+            carrier = Carrier(n, 1, 2)
+            _, trace = carrier.sweep(parse_state(f"n={n} k=1 offset=0\n3 3 2\n"))
+            assert all(t.n == n for t in trace.carriers + trace.outputs)
+            objects = [*trace.carriers, *trace.outputs, *carrier.carriers]
+            objects.extend(out for out, _, _ in carrier.table.values())
+            sides.append((trace, {id(t) for t in objects}))
+        (trace3, ids3), (trace4, ids4) = sides
+        assert trace3 == trace4
+        assert not ids3 & ids4
 
 
 class TestSweepBound:
@@ -536,6 +570,35 @@ class TestConservation:
             right = act(evolve(p, l)[0])
             assert right is not None
             assert left == right
+
+
+class TestStress:
+    @pytest.mark.slow
+    def test_wide_carriers_over_large_alphabets(self):
+        # Seeded states with n up to 10, every k < n and l up to 200: the
+        # sweep against R at every site, conservation of E_l, commuting T_l
+        # and the support + l bound.
+        rng = random.Random(91)
+        for n in range(2, 11):
+            for k in range(1, n):
+                widths = (rng.randint(1, 8), rng.randint(9, 199), 200)
+                carriers = {l: Carrier(n, k, l) for l in widths}
+
+                def step(p, l):
+                    q, trace = carriers[l].sweep(p)
+                    assert len(trace.outputs) <= p.support + l
+                    return q, trace
+
+                for draw in (random_state, sparse_state):
+                    p = draw(rng, n, k, 150)
+                    energies = {l: carriers[l].energy(p) for l in widths}
+                    for l, lp in zip(widths, widths[1:] + widths[:1]):
+                        q, trace = step(p, l)
+                        assert (q, trace) == reference_evolve(p, l)
+                        assert all(t.n == n for t in trace.carriers + trace.outputs)
+                        assert {w: carriers[w].energy(q) for w in widths} == energies
+                        assert step(q, lp)[0] == step(step(p, lp)[0], l)[0]
+                        p = q
 
 
 class TestConservedTableaux:

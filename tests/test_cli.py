@@ -5,7 +5,6 @@ import pytest
 
 from boxball import (
     RResult,
-    SemiStandardTableau,
     SolitonConfig,
     parse_state,
     parse_trajectory,
@@ -326,13 +325,9 @@ class TestUsageErrors:
         assert err.startswith("error:") and "rectangular" in err
 
     @pytest.mark.parametrize("command", [["evolve", "--steps", "2"], ["scatter"]], ids=["evolve", "scatter"])
-    def test_carrier_error_is_reported(self, capsys, monkeypatch, state_file, command):
-        import boxball.bbs as bbs_mod
-
+    def test_carrier_error_is_reported(self, capsys, stuck_r, state_file, command):
         # An R whose carrier never comes back to rest: the sweep gives up
         # after support + l sites.
-        stuck = SemiStandardTableau.column([3], 3)
-        monkeypatch.setattr(bbs_mod, "apply_r", lambda x, y: RResult(y, stuck, 0))
         path = state_file(INTRO_K1_TEXT)
         code, out, err = run(capsys, *command, "--input", path, "--l", "2")
         assert (code, out) == (1, "")

@@ -21,7 +21,7 @@ from boxball import rmatrix
 from boxball.bbs import BbsState, Carrier, vacuum_block, vacuum_column
 from boxball.insertion import _column_bump
 from boxball.sampling import random_column
-from conftest import T, small_rectangles
+from conftest import T, small_rectangles, swapped_landing
 
 
 def r_on_tensor(ct):
@@ -288,15 +288,10 @@ class TestDeterministicPeel:
         x = T("1 1 1 1 2 / 2 2 3 3 3 / 4 4 4 5 5", 7)
         y = T("1 1 2 / 2 3 3 / 5 6 7", 7)
 
-        def swapped(rows, letters):
-            order = _column_bump(rows, letters)[::-1]  # the peel order
-            order[swap:swap + 2] = order[swap + 1], order[swap]
-            return order[::-1]
-
         def no_oracle(*args):
             raise AssertionError("apply_r fell back to oracle_r")
 
-        monkeypatch.setattr(rmatrix, "_column_bump", swapped)
+        monkeypatch.setattr(rmatrix, "_column_bump", swapped_landing(swap))
         monkeypatch.setattr(rmatrix, "oracle_r", no_oracle)
         with pytest.raises(RMatrixError, match=message):
             apply_r(x, y)
@@ -306,13 +301,7 @@ class TestDeterministicPeel:
         # a corner and re-inserting still gives the product back, but the
         # left output's row comes out as 1 3 2.
         x, y = T("1 2", 3), T("1 3 3", 3)
-
-        def swapped(rows, letters):
-            order = _column_bump(rows, letters)[::-1]  # the peel order
-            order[0:2] = order[1], order[0]
-            return order[::-1]
-
-        monkeypatch.setattr(rmatrix, "_column_bump", swapped)
+        monkeypatch.setattr(rmatrix, "_column_bump", swapped_landing(0))
         with pytest.raises(RMatrixError, match=r"\[2, 3, 1\] do not form a tableau"):
             apply_r(x, y)
 
