@@ -11,6 +11,7 @@ the carrier returns to its rest value.
 from __future__ import annotations
 
 import re
+import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,9 +40,12 @@ def vacuum_column(k: int, n: int) -> SemiStandardTableau:
     return SemiStandardTableau.column(range(1, k + 1), n)
 
 
-@lru_cache(maxsize=None)
 def vacuum_block(k: int, l: int, n: int) -> SemiStandardTableau:
-    """The carrier's rest value: l copies of the vacuum column."""
+    """The carrier's rest value: l copies of the vacuum column.
+
+    Not cached: a cache would keep a k x l tableau for every width ever
+    swept, evicted carriers included.
+    """
     return SemiStandardTableau.from_columns([tuple(range(1, k + 1))] * l, n)
 
 
@@ -119,29 +123,46 @@ class CarrierTrace:
 class Carrier:
     """A width-l carrier over (n, k) that keeps the R outcomes of all its sweeps.
 
-    Its table ``(carrier id, column rows) -> (output, next carrier id, H)``,
-    carriers interned to ints with 0 the rest value, lives exactly as long as
-    the object.  A miss evaluates R on rows with :func:`rmatrix._r_rows`;
-    emitted columns are interned by their rows, so the table's values hold at
-    most C(n, k) output tableaux.  It never sweeps a state over another
-    (n, k): tableau equality ignores ``n``, so the table would mix alphabets.
+    Its table ``(carrier id, column rows) -> (output, next carrier id, H)``
+    has carriers interned to ints, 0 the rest value.  A miss evaluates R on
+    rows with :func:`rmatrix._r_rows`.  Every column filling the carrier
+    meets or emits is interned by its rows, so the table's keys and values
+    share at most C(n, k) column tableaux, whichever states it swept.  It
+    never sweeps a state over another (n, k): tableau equality ignores
+    ``n``, so the table would mix alphabets.
+
+    Sweeps take their carrier from :func:`carrier`, which keeps one per
+    (n, k, l) for every command of the process, within a bound on the total
+    :attr:`weight`.  So the table outlives the command that filled it in a
+    library session or a benchmark that runs many commands in one process,
+    not in a one-shot CLI process.
     """
 
     def __init__(self, n: int, k: int, l: int):
         if l < 1:
             raise ValueError("carrier width must be positive")
         self.n, self.k, self.l = n, k, l
-        self.carriers = [vacuum_block(k, l, n)]
-        self.carrier_ids = {self.carriers[0].rows: 0}
-        self.emitted: dict = {}
+        rest = vacuum_block(k, l, n)
+        self.carriers = [rest]
+        self.carrier_ids = {rest.rows: 0}
+        self.columns: dict = {}
         self.table: dict = {}
+        # A shared carrier can be swept by several threads; a miss extends
+        # the interning list and dicts as one step.
+        self._lock = threading.Lock()
+
+    @property
+    def weight(self) -> int:
+        """What the carrier retains, in units of about 11 bytes: 20 per table
+        entry and k * l per interned carrier."""
+        return 20 * len(self.table) + self.k * self.l * len(self.carriers)
 
     def sweep(self, p: BbsState) -> tuple[BbsState, CarrierTrace]:
         """One time step of the width-l evolution; see :func:`evolve`."""
         if (p.n, p.k) != (self.n, self.k):
             raise ValueError(f"state over n={p.n}, k={p.k} given to a carrier over n={self.n}, k={self.k}")
-        n, l, carriers, carrier_ids, emitted, table = (
-            self.n, self.l, self.carriers, self.carrier_ids, self.emitted, self.table)
+        n, l, carriers, carrier_ids, columns, table, lock = (
+            self.n, self.l, self.carriers, self.carrier_ids, self.columns, self.table, self._lock)
         support = p.support
         cid = 0
         ids = [0]
@@ -156,14 +177,18 @@ class Carrier:
                 # _r_rows is looked up in the module globals on every miss, so a
                 # patched R sees each evaluation.
                 left, right, h = _r_rows(carriers[cid].rows, b.rows, n)
-                nid = carrier_ids.get(right)
-                if nid is None:
-                    nid = carrier_ids[right] = len(carriers)
-                    carriers.append(SemiStandardTableau(right, n, validate=False))
-                out = emitted.get(left)
-                if out is None:
-                    out = emitted[left] = SemiStandardTableau(left, n, validate=False)
-                hit = table[key] = (out, nid, h)
+                with lock:
+                    nid = carrier_ids.get(right)
+                    if nid is None:
+                        new = SemiStandardTableau(right, n, validate=False)
+                        nid = carrier_ids[new.rows] = len(carriers)
+                        carriers.append(new)
+                    out = columns.get(left)
+                    if out is None:
+                        out = SemiStandardTableau(left, n, validate=False)
+                        columns[out.rows] = out
+                    # Keyed by the interned filling: the state's own rows die with it.
+                    hit = table[cid, columns.setdefault(b.rows, b).rows] = (out, nid, h)
             out, cid, h = hit
             outputs.append(out)
             ids.append(cid)
@@ -186,6 +211,46 @@ class Carrier:
         return -sum(self.sweep(p)[1].site_energies)
 
 
+# The carriers of the process, least recently fetched first.  Keyed by
+# (n, k, l): tableau equality ignores n, so one table must never serve two
+# alphabets.  Wide carriers weigh k * l per interned carrier, so the bound is
+# on the weight, not on a count of entries.  It was chosen from measured peak
+# RSS: about 0.55 MB of tables, and doubling it raised the peak RSS of a run
+# of seeded checks by a further 2.4%.
+CARRIER_WEIGHT_BOUND = 50_000
+_registry: dict[tuple[int, int, int], Carrier] = {}
+_registry_lock = threading.Lock()
+
+
+def carrier(n: int, k: int, l: int) -> Carrier:
+    """The width-l carrier over (n, k) that every sweep of the process shares.
+
+    After every fetch the kept carriers weigh at most ``CARRIER_WEIGHT_BOUND``
+    (about 0.55 MB) in all: whole carriers are dropped, least recently fetched
+    first, and one that alone weighs more than the bound when fetched is
+    replaced by a cold one.  A carrier keeps growing while it is used, and is
+    weighed again at the next fetch.
+    """
+    key = (n, k, l)
+    with _registry_lock:
+        c = _registry.pop(key, None)
+        if c is None or c.weight > CARRIER_WEIGHT_BOUND:
+            c = Carrier(n, k, l)
+        _registry[key] = c
+        total = sum(map(attrgetter("weight"), _registry.values()))
+        for old in list(_registry):
+            if total <= CARRIER_WEIGHT_BOUND:
+                break
+            total -= _registry.pop(old).weight
+    return c
+
+
+def clear_carriers() -> None:
+    """Drop every shared carrier, so that the next sweeps start cold."""
+    with _registry_lock:
+        _registry.clear()
+
+
 def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
     """One time step of the width-l evolution.
 
@@ -199,21 +264,24 @@ def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
     every carrier with n <= 5 and l <= 3.  The result is re-canonicalized
     with its offset updated.
 
-    R is evaluated once per distinct (carrier, column) pair of the sweep; a
-    :class:`Carrier` keeps that table across many sweeps.  Each evaluation
-    column-inserts the k letters of the column into the carrier, so its
-    work does not grow with l.
+    The sweep runs on the shared :func:`carrier`, so R is evaluated once per
+    (carrier, column) pair that no sweep of the process has met while that
+    carrier was kept: the table outlives the call within the weight bound,
+    in a library session, not across one-shot CLI processes.  Each
+    evaluation column-inserts the k letters of the column into the carrier,
+    so its work does not grow with l.
     """
-    return Carrier(p.n, p.k, l).sweep(p)
+    return carrier(p.n, p.k, l).sweep(p)
 
 
 def energy_e(p: BbsState, l: int) -> int:
     """E_l: minus the summed local energies of one width-l carrier pass.
 
-    One sweep of a fresh :class:`Carrier`; a caller that takes E_l of many
-    states keeps one carrier per width and calls :meth:`Carrier.energy`.
+    One sweep of the shared :func:`carrier`, whose table outlives the call
+    within the weight bound, so E_l of many states in one process evaluates
+    R once per distinct (carrier, column) pair the kept carriers hold.
     """
-    return Carrier(p.n, p.k, l).energy(p)
+    return carrier(p.n, p.k, l).energy(p)
 
 
 def soliton_spectrum(p: BbsState) -> dict[int, int]:

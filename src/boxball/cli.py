@@ -2,7 +2,7 @@
 scattering experiments, and drive seeded invariant checks.
 
 Exit codes: 0 success, 1 verification failure or a carrier that failed to
-return to rest, 2 usage or parse error.
+return to rest, 2 usage or parse error, or an input too large for memory.
 """
 
 from __future__ import annotations
@@ -10,15 +10,15 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from functools import cache, partial
+from functools import partial
 from operator import attrgetter
 
 from . import sampling
 from .bbs import (
     BbsState,
-    Carrier,
     CarrierError,
     StateParseError,
+    carrier,
     energy_e,
     format_state,
     format_trajectory,
@@ -84,9 +84,9 @@ def render_diagram(states) -> str:
 def cmd_evolve(args: argparse.Namespace) -> int:
     state = _load_state(args.input)
     states = [state]
-    carrier = Carrier(state.n, state.k, args.l)
+    sweep = carrier(state.n, state.k, args.l).sweep
     for _ in range(args.steps):
-        state, _ = carrier.sweep(state)
+        state, _ = sweep(state)
         states.append(state)
     sys.stdout.write(format_trajectory(states))
     if args.render:
@@ -162,11 +162,11 @@ def cmd_scatter(args: argparse.Namespace) -> int:
 # -- seeded invariant checks ------------------------------------------------
 
 
-# The energy and commute checks draw (n, k, l) from a few dozen values, so
-# each keeps one Carrier per (n, k, l) over its trials and evaluates R once
-# per distinct pair of the whole command.
+# The energy and commute checks draw (n, k, l) from a few dozen values and
+# sweep through the shared carriers, so while those stay within their weight
+# bound R is evaluated once per distinct pair of the whole command, and pairs
+# met by earlier commands of the process are not evaluated again.
 def _inv_carriers(rng, trials, holds):
-    carrier = cache(Carrier)
     for _ in range(trials):
         k = rng.randint(1, 3)
         n = rng.randint(k + 1, 5)
@@ -328,6 +328,10 @@ def main(argv=None) -> int:
     except CarrierError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except MemoryError:
+        # A carrier holds l columns: a huge --l asks for more than there is.
+        print("error: out of memory; is --l or the input too large?", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

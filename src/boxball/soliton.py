@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .bbs import BbsState, Carrier, vacuum_column
+from .bbs import BbsState, carrier, vacuum_column
 from .crystal import CrystalTensor, sp, unsplit
 from .rmatrix import apply_r, braid_holds
 from .tableau import SemiStandardTableau
@@ -327,10 +327,10 @@ def run_experiment(cfg: SolitonConfig, l: int, steps: int | None = None) -> Expe
     detections: list[SolitonConfig | None] = [cfg]
     predicted = predict_final(cfg)
     budget = steps if steps is not None else MAX_STEPS
-    carrier = Carrier(state.n, state.k, l)
+    sweep = carrier(state.n, state.k, l).sweep
     t = 0
     while t < budget:
-        state, _ = carrier.sweep(state)
+        state, _ = sweep(state)
         t += 1
         try:
             det: SolitonConfig | None = detect(state)

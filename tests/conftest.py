@@ -80,7 +80,17 @@ def intro_k2_state() -> BbsState:
 
 
 @pytest.fixture
-def stuck_r(monkeypatch):
+def cold_carriers():
+    """Empties the process-wide carrier table before the test and after it, so
+    the test's sweeps start cold and what it stored (under a patched R, say)
+    serves no later test."""
+    bbs_mod.clear_carriers()
+    yield
+    bbs_mod.clear_carriers()
+
+
+@pytest.fixture
+def stuck_r(monkeypatch, cold_carriers):
     """A sweep R whose carrier never comes back to rest: it always carries a
     lone 3 over n = 3, k = 1."""
     monkeypatch.setattr(bbs_mod, "_r_rows", lambda xrows, yrows, n: (yrows, ((3,),), 0))

@@ -1,4 +1,7 @@
+import operator
 import random
+import sys
+import threading
 from itertools import product
 from math import comb
 
@@ -173,9 +176,10 @@ def assert_one_evaluation_per_distinct_pair(calls, p, l, steps):
 
 
 @pytest.fixture
-def r_calls(monkeypatch):
-    """Every (n, carrier rows, column rows) the sweeps hand to R, in order.
-    Tableau equality ignores n, so a pair is keyed by n as well."""
+def r_calls(monkeypatch, cold_carriers):
+    """Every (n, carrier rows, column rows) the sweeps hand to R, in order,
+    from a cold carrier table.  Tableau equality ignores n, so a pair is
+    keyed by n as well."""
     calls = []
 
     def counting_r(xrows, yrows, n):
@@ -313,6 +317,144 @@ class TestTransducer:
         (trace3, ids3), (trace4, ids4) = sides
         assert trace3 == trace4
         assert not ids3 & ids4
+
+
+def registry_weight():
+    return sum(c.weight for c in bbs_mod._registry.values())
+
+
+def fresh_run(p, l, steps):
+    """Trajectory bytes and E_l of ``p`` through private carriers."""
+    carrier = Carrier(p.n, p.k, l)
+    states = [p]
+    for _ in range(steps):
+        states.append(carrier.sweep(states[-1])[0])
+    return format_trajectory(states), Carrier(p.n, p.k, l).energy(p)
+
+
+def shared_run(p, l, steps):
+    """The same through the shared carriers: ``evolve`` and ``energy_e``."""
+    states = [p]
+    for _ in range(steps):
+        states.append(evolve(states[-1], l)[0])
+    return format_trajectory(states), energy_e(p, l)
+
+
+SHARED_CASES = [(n, k, l) for n in (3, 4, 6) for k in range(1, min(n, 4)) for l in (1, 2, 4)]
+
+
+class TestSharedCarriers:
+    """One carrier per (n, k, l) serves every sweep of the process, within a
+    bound on the total weight."""
+
+    def test_weight_stays_within_the_bound_after_every_fetch(self, monkeypatch, cold_carriers):
+        bound = 4000
+        monkeypatch.setattr(bbs_mod, "CARRIER_WEIGHT_BOUND", bound)
+        rng = random.Random(41)
+        evictions = 0
+        for _ in range(120):
+            n, k, l = rng.choice(SHARED_CASES)
+            before = set(bbs_mod._registry)
+            c = bbs_mod.carrier(n, k, l)
+            evictions += len(before - set(bbs_mod._registry) - {(n, k, l)})
+            assert registry_weight() <= bound
+            assert list(bbs_mod._registry)[-1:] in ([(n, k, l)], [])
+            for _ in range(3):
+                c.sweep(random_state(rng, n, k, 30))
+        assert evictions > 10
+
+    def test_a_carrier_over_the_bound_at_its_fetch_starts_cold(self, monkeypatch, cold_carriers):
+        monkeypatch.setattr(bbs_mod, "CARRIER_WEIGHT_BOUND", 500)
+        rng = random.Random(5)
+        small = bbs_mod.carrier(3, 1, 1)
+        c = bbs_mod.carrier(5, 2, 3)
+        c.sweep(random_state(rng, 5, 2, 60))
+        assert c.weight > 500
+        # Over the bound: the other carriers go first, then this one starts cold.
+        again = bbs_mod.carrier(5, 2, 3)
+        assert again is not c and not again.table
+        assert list(bbs_mod._registry) == [(3, 1, 1), (5, 2, 3)]
+        assert bbs_mod.carrier(3, 1, 1) is small
+        # A rest carrier alone over the bound is handed out, never kept.
+        wide = bbs_mod.carrier(3, 1, 600)
+        assert wide.weight == 600 and (3, 1, 600) not in bbs_mod._registry
+        assert registry_weight() <= 500
+
+    @pytest.mark.parametrize("bound", [0, 10**9], ids=["evict-every-fetch", "unbounded"])
+    def test_output_equals_fresh_carriers(self, monkeypatch, cold_carriers, bound):
+        # Bound 0 evicts every carrier at the next fetch, mid-spectrum too;
+        # unbounded, every later state meets a warm table.
+        monkeypatch.setattr(bbs_mod, "CARRIER_WEIGHT_BOUND", bound)
+        rng = random.Random(19)
+        for _ in range(2):
+            for n, k, l in SHARED_CASES:
+                p = random_state(rng, n, k, 12)
+                assert shared_run(p, l, 3) == fresh_run(p, l, 3)
+                assert soliton_spectrum(p) == reference_spectrum(p)
+
+    def test_equal_fillings_over_two_alphabets_never_share_entries(self, cold_carriers):
+        # Tableau equality ignores n: the n = 3 and n = 4 carriers, fetched in
+        # turn, must keep apart every tableau they carry, emit or key by.
+        seen = {3: set(), 4: set()}
+        for _ in range(3):
+            for n in (3, 4):
+                c = bbs_mod.carrier(n, 1, 2)
+                _, trace = evolve(parse_state(f"n={n} k=1 offset=0\n3 3 2 . 1 3\n"), 2)
+                assert bbs_mod.carrier(n, 1, 2) is c
+                assert all(t.n == n for t in trace.carriers + trace.outputs)
+                objects = [*trace.carriers, *trace.outputs, *c.carriers, *c.columns.values()]
+                objects.extend(out for out, _, _ in c.table.values())
+                assert all(t.n == n for t in objects)
+                seen[n] |= {id(t) for t in objects} | {id(v) for v in c.table.values()}
+        assert bbs_mod.carrier(3, 1, 2) is not bbs_mod.carrier(4, 1, 2)
+        assert not seen[3] & seen[4]
+
+    def test_retained_keys_hold_one_rows_object_per_filling(self):
+        # What a kept carrier holds must not keep the swept states alive:
+        # table keys use the carrier's interned fillings, and each carrier's
+        # rows are its interning key.
+        rng = random.Random(3)
+        c = Carrier(5, 2, 3)
+        for _ in range(4):
+            c.sweep(random_state(rng, 5, 2, 30))
+        assert all(rows is c.columns[rows].rows for _, rows in c.table)
+        assert len({id(rows) for _, rows in c.table}) <= comb(5, 2)
+        assert all(map(operator.is_, c.carrier_ids, (t.rows for t in c.carriers)))
+
+    def test_second_cli_evolve_makes_no_r_evaluation(self, r_calls, tmp_path, capsys):
+        path = tmp_path / "state.txt"
+        path.write_text(THREE_SOLITON_TEXT)
+        argv = ["evolve", "--input", str(path), "--l", "3", "--steps", "4"]
+        assert main(argv) == 0
+        first, evaluated = capsys.readouterr().out, len(r_calls)
+        assert evaluated
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert len(r_calls) == evaluated
+
+    def test_threads_sharing_carriers_match_fresh_carriers(self, cold_carriers):
+        # Many threads sweep through the same few shared carriers from a cold
+        # start, switching often, so misses of one carrier interleave.
+        rng = random.Random(23)
+        jobs = [(random_state(rng, n, k, 40), l) for n, k, l in SHARED_CASES[:6] for _ in range(4)]
+        expected = [fresh_run(p, l, 2) for p, l in jobs]
+        results: dict = {}
+
+        def work(i):
+            results[i] = [shared_run(p, l, 2) for p, l in jobs[i::8]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [results[i % 8][i // 8] for i in range(len(jobs))] == expected
 
 
 class TestSweepBound:

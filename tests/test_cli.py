@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
+import boxball.bbs as bbs_mod
 from boxball import (
     RResult,
     SolitonConfig,
@@ -188,6 +193,30 @@ class TestScatter:
         assert repeated >= 100
 
 
+class TestSharedCarriers:
+    """The commands of one process share carriers: their output must not
+    depend on what an earlier command left in the table, or on eviction."""
+
+    @pytest.mark.parametrize("bound", [0, None], ids=["evict-every-fetch", "default-bound"])
+    def test_goldens_cold_and_warm(self, capsys, state_file, monkeypatch, cold_carriers, bound):
+        if bound is not None:
+            monkeypatch.setattr(bbs_mod, "CARRIER_WEIGHT_BOUND", bound)
+        p3s, k1 = state_file(THREE_SOLITON_TEXT, "p3s.txt"), state_file(INTRO_K1_TEXT, "k1.txt")
+        k2, c = state_file(INTRO_K2_TEXT, "k2.txt"), state_file(SPECTRUM_TEXTS["c"], "c.txt")
+        goldens = [
+            (["evolve", "--input", k1, "--l", "3", "--steps", "1", "--render"], EVOLVE_K1_GOLDEN),
+            (["evolve", "--input", k2, "--l", "3", "--steps", "1"], "n=4 k=2 offset=0\n2/4 2/4 1/3\n. . . 2/4 2/4 1/3\n"),
+            (["scatter", "--input", p3s, "--l", "3", "--steps", "6"], SCATTER_GOLDEN),
+            (["spectrum", "--input", c], "N_2=3\n"),
+            (["energy", "--input", c, "--l", "2"], "E_2=6\n"),
+            (["check", "--invariant", "commute", "--trials", "25", "--seed", "5"],
+             "check invariant=commute seed=5: PASS 25/25\n"),
+        ]
+        for _ in range(2):
+            for argv, expected in goldens:
+                assert run(capsys, *argv) == (0, expected, "")
+
+
 class TestSmallCommands:
     def test_rmatrix_golden(self, capsys):
         code, out, _ = run(capsys, "rmatrix", "--left", "1 2 4 / 2 3 5 / 4 4 6", "--right", "2 / 5")
@@ -336,6 +365,33 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_module_runs_without_install(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-m", "boxball", "--help"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: boxball")
+
+    @pytest.mark.parametrize("command", [
+        ["evolve", "--l", "9999999999"],
+        ["energy", "--l", "9999999999"],
+        ["scatter", "--l", "9999999999"],
+        ["spectrum"],
+    ])
+    def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch, cold_carriers, state_file, command):
+        # A carrier holds l columns, so a huge --l cannot be allocated.  The
+        # allocation is faked: a real width near 10^9 could overcommit and
+        # get the process killed instead.
+        def no_memory(n, k, l):
+            raise MemoryError
+
+        monkeypatch.setattr(bbs_mod, "Carrier", no_memory)
+        path = state_file(THREE_SOLITON_TEXT)
+        code, out, err = run(capsys, command[0], "--input", path, *command[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory; is --l or the input too large?\n"
 
     def test_state_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "state.txt"
