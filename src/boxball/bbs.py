@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import re
 import threading
+from array import array
+from collections import OrderedDict
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, repeat
-from operator import attrgetter
+from functools import lru_cache, partial
+from itertools import chain, compress, islice, repeat
+from operator import and_, attrgetter, is_, itemgetter, neg, rshift
 
 from .insertion import rectify
 from .rmatrix import _r_rows
@@ -110,94 +111,267 @@ class BbsState:
         return f"BbsState(n={self.n}, k={self.k}, offset={self.offset}, {format_columns(self)!r})"
 
 
-@dataclass(frozen=True)
 class CarrierTrace:
     """Carrier values and emissions from one sweep; the first and last
-    carrier states equal the rest value."""
+    carrier states equal the rest value.
 
-    carriers: tuple[SemiStandardTableau, ...]
-    outputs: tuple[SemiStandardTableau, ...]
-    site_energies: tuple[int, ...]
+    A sweep keeps only the column ids it read.  It builds ``carriers`` and
+    ``site_energies`` when each is first read, by replaying those ids
+    through its carrier's transitions, so a sweep whose trace is never read
+    builds neither; until then the trace keeps its carrier alive.  Traces
+    compare by their three fields, however they were built.
+    """
+
+    __slots__ = ("_carriers", "outputs", "_site_energies")
+
+    def __init__(self, carriers, outputs: tuple[SemiStandardTableau, ...], site_energies):
+        # ``carriers`` and ``site_energies`` are tuples, or functions that
+        # build them.
+        self._carriers = carriers
+        self.outputs = outputs
+        self._site_energies = site_energies
+
+    def _built(self, name: str) -> tuple:
+        value = getattr(self, name)
+        if callable(value):
+            value = value()
+            setattr(self, name, value)
+        return value
+
+    carriers = property(lambda self: self._built("_carriers"),
+                        doc="The carrier tableaux, from the rest value to the rest value.")
+    site_energies = property(lambda self: self._built("_site_energies"),
+                             doc="The local energy H of each site.")
+
+    def _fields(self) -> tuple:
+        return self.carriers, self.outputs, self.site_energies
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CarrierTrace):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "CarrierTrace(carriers={!r}, outputs={!r}, site_energies={!r})".format(*self._fields())
+
+
+# A carrier key packs the letters one array item each, in the narrowest of
+# these unsigned typecodes that holds n; a larger n takes fixed-width bytes.
+_TYPECODES = "BHIQ"
+# Transition slots per carrier until it meets more column fillings; C(n, k)
+# when that is fewer.
+_FIRST_STRIDE = 64
+# Column ids fit in 32 bits: more fillings than that would not fit in memory.
+_MAX_COLUMNS = 1 << 32
+_UNKNOWN = array("q", [-1])  # a transition slot not filled yet
+# The bytes a carrier retains besides 8 per transition slot and its keys'
+# letters, measured with tracemalloc: per interned carrier (its bytes
+# object, dict entry and list slot), and per interned column (its tableau,
+# rows, dict entry and list slot) plus per column letter.
+_CARRIER_BYTES = 100
+_COLUMN_BYTES = 200
+_COLUMN_LETTER_BYTES = 60
+_ROWS = attrgetter("rows")
+
+
+def _count_fillings(n: int, k: int, cap: int) -> int:
+    """min(C(n, k), cap), in at most about log2(cap) steps."""
+    count = 1
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)
+        if count >= cap:
+            return cap
+    return count
 
 
 class Carrier:
-    """A width-l carrier over (n, k) that keeps the R outcomes of all its sweeps.
+    """A width-l carrier over (n, k) as a finite automaton that learns its
+    transitions as it sweeps: Takahashi's carrier, lifted to B^{k,l}.
 
-    Its table ``(carrier id, column rows) -> (output, next carrier id, H)``
-    has carriers interned to ints, 0 the rest value.  A miss evaluates R on
-    rows with :func:`rmatrix._r_rows`.  Every column filling the carrier
-    meets or emits is interned by its rows, so the table's keys and values
-    share at most C(n, k) column tableaux, whichever states it swept.  It
-    never sweeps a state over another (n, k): tableau equality ignores
-    ``n``, so the table would mix alphabets.
+    Its inputs are the column fillings it meets or emits, interned as ids
+    0, 1, ... in the order met, at most C(n, k) of them, each kept as one
+    tableau over 1..n.  Its states are the carriers it has reached, each
+    interned by a bytes key that packs its rows' letters in the narrowest
+    unsigned array typecode that holds n; id 0 is the rest value.  Its
+    transitions fill one flat ``array('q')``, a row of slots per carrier and
+    a slot per column id: -1 where unknown, else the next carrier id, -H and
+    the output column id packed in one int.  A row has min(C(n, k), 64)
+    slots, doubled as more fillings are met.  A miss decodes the carrier's
+    rows from its key, evaluates R on them with :func:`rmatrix._r_rows`, and
+    fills the slot.  It never sweeps a state over another (n, k): tableau
+    equality ignores ``n``, so the table would mix alphabets.
 
     Sweeps take their carrier from :func:`carrier`, which keeps one per
     (n, k, l) for every command of the process, within a bound on the total
-    :attr:`weight`.  So the table outlives the command that filled it in a
-    library session or a benchmark that runs many commands in one process,
-    not in a one-shot CLI process.
+    :attr:`weight` in bytes.  So the table outlives the command that filled
+    it in a library session or a benchmark that runs many commands in one
+    process, not in a one-shot CLI process.
     """
 
     def __init__(self, n: int, k: int, l: int):
         if l < 1:
             raise ValueError("carrier width must be positive")
         self.n, self.k, self.l = n, k, l
-        rest = vacuum_block(k, l, n)
-        self.carriers = [rest]
-        self.carrier_ids = {rest.rows: 0}
-        self.columns: dict = {}
-        self.table: dict = {}
+        typecode = next((t for t in _TYPECODES if n < 1 << 8 * array(t).itemsize), None)
+        if typecode == "B":
+            # One byte a letter: the key's bytes are the letters.
+            self._pack = self._letters = bytes
+        elif typecode:
+            self._pack = lambda letters: array(typecode, letters).tobytes()
+            self._letters = partial(array, typecode)
+        else:
+            width = (n.bit_length() + 7) // 8
+            self._pack = lambda letters: b"".join(a.to_bytes(width, "big") for a in letters)
+            self._letters = lambda key: [int.from_bytes(key[i:i + width], "big") for i in range(0, len(key), width)]
+        # A transition packs (next carrier, -H, output column), -H in 0..k.
+        columns = _count_fillings(n, k, _MAX_COLUMNS)
+        self._column_bits = (columns - 1).bit_length()
+        self._carrier_shift = self._column_bits + k.bit_length()
+        self._column_mask = (1 << self._column_bits) - 1
+        self._energy_mask = (1 << k.bit_length()) - 1
+        self._max_stride = columns
+        stride = min(columns, _FIRST_STRIDE)
+        # The transitions and the slots per carrier, replaced as one value
+        # when a carrier meets more column fillings than it has slots for.
+        self._table = (array("q"), stride)
+        # A key's letters, cut into its k rows.
+        self._split = itemgetter(*(slice(i * l, (i + 1) * l) for i in range(k))) if k > 1 else lambda row: (row,)
+        self._keys: list[bytes] = []
+        self._key_ids: dict[bytes, int] = {}
+        self._key_bytes = 0
+        self._columns: list[SemiStandardTableau] = []
+        self._column_ids: dict = {}
+        self._counted = 0  # this carrier's weight in the registry's total
         # A shared carrier can be swept by several threads; a miss extends
-        # the interning list and dicts as one step.
+        # the interning lists, dicts and transitions as one step.
         self._lock = threading.Lock()
+        self._add_column(vacuum_column(k, n))
+        self._add_carrier(b"".join(self._pack((a,)) * l for a in range(1, k + 1)))
 
     @property
     def weight(self) -> int:
-        """What the carrier retains, in units of about 11 bytes: 20 per table
-        entry and k * l per interned carrier."""
-        return 20 * len(self.table) + self.k * self.l * len(self.carriers)
+        """The bytes the carrier retains: 8 per transition slot, each
+        carrier's key and its interning, and each column tableau."""
+        return (8 * len(self._table[0]) + self._key_bytes + _CARRIER_BYTES * len(self._keys)
+                + (_COLUMN_BYTES + _COLUMN_LETTER_BYTES * self.k) * len(self._columns))
+
+    def _add_carrier(self, key: bytes) -> int:
+        cid = len(self._keys)
+        self._keys.append(key)
+        self._key_ids[key] = cid
+        self._key_bytes += len(key)
+        transitions, stride = self._table
+        transitions.extend(_UNKNOWN * stride)
+        return cid
+
+    def _add_column(self, column: SemiStandardTableau) -> int:
+        j = len(self._columns)
+        old, stride = self._table
+        if j == stride:
+            # Double the slots per carrier, up to C(n, k).
+            wide = min(2 * stride, self._max_stride)
+            new = _UNKNOWN * (len(old) // stride * wide)
+            for i in range(len(old) // stride):
+                new[i * wide:i * wide + stride] = old[i * stride:(i + 1) * stride]
+            self._table = (new, wide)
+        self._columns.append(column)
+        self._column_ids[column.rows] = j
+        return j
+
+    def _miss(self, cid: int, j: int) -> int:
+        """Evaluate R on carrier ``cid`` and column ``j``, store the packed
+        transition and return it."""
+        n = self.n
+        # _r_rows is looked up in the module globals on every miss, so a
+        # patched R sees each evaluation.
+        left, right, h = _r_rows(self._split(self._letters(self._keys[cid])), self._columns[j].rows, n)
+        key = self._pack(chain.from_iterable(right))
+        with self._lock:
+            nid = self._key_ids.get(key)
+            if nid is None:
+                nid = self._add_carrier(key)
+            out = self._column_ids.get(left)
+            if out is None:
+                out = self._add_column(SemiStandardTableau(left, n, validate=False))
+            packed = nid << self._carrier_shift | -h << self._column_bits | out
+            transitions, stride = self._table
+            transitions[cid * stride + j] = packed
+        return packed
+
+    def _replay(self, js: list[int], sites: int) -> list[int]:
+        """The packed transitions of a sweep over column ids ``js`` and then
+        vacuum, ``sites`` sites in all: each is known once it was swept."""
+        transitions, stride = self._table
+        shift, cid, packed = self._carrier_shift, 0, []
+        for j in islice(chain(js, repeat(0)), sites):
+            v = transitions[cid * stride + j]
+            packed.append(v)
+            cid = v >> shift
+        return packed
+
+    def _tableaux(self, js: list[int], sites: int) -> tuple[SemiStandardTableau, ...]:
+        """The carriers of a sweep, from the rest value on, as tableaux."""
+        ids = [0, *map(rshift, self._replay(js, sites), repeat(self._carrier_shift))]
+        built = {cid: SemiStandardTableau(self._split(self._letters(self._keys[cid])), self.n, validate=False)
+                 for cid in set(ids)}
+        return tuple(map(built.__getitem__, ids))
+
+    def _energies(self, js: list[int], sites: int) -> tuple[int, ...]:
+        """The local energies H of a sweep."""
+        packed = self._replay(js, sites)
+        return tuple(map(neg, map(and_, map(rshift, packed, repeat(self._column_bits)), repeat(self._energy_mask))))
 
     def sweep(self, p: BbsState) -> tuple[BbsState, CarrierTrace]:
         """One time step of the width-l evolution; see :func:`evolve`."""
         if (p.n, p.k) != (self.n, self.k):
             raise ValueError(f"state over n={p.n}, k={p.k} given to a carrier over n={self.n}, k={self.k}")
-        n, l, carriers, carrier_ids, columns, table, lock = (
-            self.n, self.l, self.carriers, self.carrier_ids, self.columns, self.table, self._lock)
-        support = p.support
+        column_ids = self._column_ids
+        js = list(map(column_ids.get, map(_ROWS, p.columns)))
+        if None in js:
+            # Intern the new fillings, keeping one of the state's own
+            # tableaux for each: they are over 1..n.
+            new = list(compress(p.columns, map(is_, js, repeat(None))))
+            with self._lock:
+                for rows, b in dict(zip(map(_ROWS, new), new)).items():
+                    if rows not in column_ids:
+                        self._add_column(b)
+            js = list(map(column_ids.__getitem__, map(_ROWS, p.columns)))
+        shift, mask = self._carrier_shift, self._column_mask
+        transitions, stride = self._table
         cid = 0
-        ids = [0]
-        outputs: list[SemiStandardTableau] = []
-        energies: list[int] = []
-        for site, b in enumerate(chain(p.columns, repeat(vacuum_column(p.k, p.n), l))):
-            if site >= support and not cid:
-                break
-            key = (cid, b.rows)
-            hit = table.get(key)
-            if hit is None:
-                # _r_rows is looked up in the module globals on every miss, so a
-                # patched R sees each evaluation.
-                left, right, h = _r_rows(carriers[cid].rows, b.rows, n)
-                with lock:
-                    nid = carrier_ids.get(right)
-                    if nid is None:
-                        new = SemiStandardTableau(right, n, validate=False)
-                        nid = carrier_ids[new.rows] = len(carriers)
-                        carriers.append(new)
-                    out = columns.get(left)
-                    if out is None:
-                        out = SemiStandardTableau(left, n, validate=False)
-                        columns[out.rows] = out
-                    # Keyed by the interned filling: the state's own rows die with it.
-                    hit = table[cid, columns.setdefault(b.rows, b).rows] = (out, nid, h)
-            out, cid, h = hit
-            outputs.append(out)
-            ids.append(cid)
-            energies.append(h)
+        # Only the output column ids are kept: small ints, where the packed
+        # transitions would each be a new int object.  A trace that is read
+        # replays the sweep for the rest.
+        outs: list[int] = []
+        try:
+            for j in js:
+                v = transitions[cid * stride + j]
+                if v < 0:
+                    v = self._miss(cid, j)
+                    transitions, stride = self._table
+                outs.append(v & mask)
+                cid = v >> shift
+            # Then vacuum, column id 0, until the carrier is back at rest.
+            for _ in range(self.l):
+                if not cid:
+                    break
+                v = transitions[cid * stride]
+                if v < 0:
+                    v = self._miss(cid, 0)
+                    transitions, stride = self._table
+                outs.append(v & mask)
+                cid = v >> shift
+        finally:
+            if self.weight != self._counted:
+                _recount(self)
         if cid:
-            raise CarrierError(f"carrier did not stabilize within {support + l} sites")
-        new_state = BbsState(p.n, p.k, p.offset, outputs)
-        trace = CarrierTrace(tuple(carriers[i] for i in ids), tuple(outputs), tuple(energies))
-        return new_state, trace
+            raise CarrierError(f"carrier did not stabilize within {len(js) + self.l} sites")
+        outputs = tuple(map(self._columns.__getitem__, outs))
+        trace = CarrierTrace(partial(self._tableaux, js, len(outs)), outputs, partial(self._energies, js, len(outs)))
+        return BbsState(p.n, p.k, p.offset, outputs), trace
 
     def energy(self, p: BbsState) -> int:
         """E_l of ``p``, l this carrier's width: minus the summed local
@@ -213,42 +387,61 @@ class Carrier:
 
 # The carriers of the process, least recently fetched first.  Keyed by
 # (n, k, l): tableau equality ignores n, so one table must never serve two
-# alphabets.  Wide carriers weigh k * l per interned carrier, so the bound is
-# on the weight, not on a count of entries.  It was chosen from measured peak
-# RSS: about 0.55 MB of tables, and doubling it raised the peak RSS of a run
-# of seeded checks by a further 2.4%.
-CARRIER_WEIGHT_BOUND = 50_000
-_registry: dict[tuple[int, int, int], Carrier] = {}
+# alphabets.  The bound is on the bytes they retain, their weight.  It keeps
+# the budget chosen from measured peak RSS for the dict-of-tuples table this
+# replaced, about 0.55 MB (doubling that raised the peak RSS of a run of
+# seeded checks by a further 2.4%), which now holds about 3.6 times the
+# transitions.
+CARRIER_WEIGHT_BOUND = 575_000
+_registry: OrderedDict[tuple[int, int, int], Carrier] = OrderedDict()
+# The kept carriers' weights as last counted: at their fetch, then at the end
+# of each of their sweeps that grew them.
+_registry_weight = 0
 _registry_lock = threading.Lock()
+
+
+def _recount(c: Carrier) -> None:
+    """Bring the registry's total up to date with ``c``'s weight, if it is kept."""
+    global _registry_weight
+    with _registry_lock:
+        if _registry.get((c.n, c.k, c.l)) is c:
+            weight = c.weight
+            _registry_weight += weight - c._counted
+            c._counted = weight
 
 
 def carrier(n: int, k: int, l: int) -> Carrier:
     """The width-l carrier over (n, k) that every sweep of the process shares.
 
     After every fetch the kept carriers weigh at most ``CARRIER_WEIGHT_BOUND``
-    (about 0.55 MB) in all: whole carriers are dropped, least recently fetched
-    first, and one that alone weighs more than the bound when fetched is
-    replaced by a cold one.  A carrier keeps growing while it is used, and is
-    weighed again at the next fetch.
+    bytes in all: whole carriers are dropped, least recently fetched first,
+    and one that alone weighs more than the bound when fetched is replaced
+    by a cold one.  A carrier keeps growing while it is used; each sweep
+    adds what it grew by to a running total, so a fetch costs O(1) whatever
+    the number of kept carriers.
     """
+    global _registry_weight
     key = (n, k, l)
     with _registry_lock:
         c = _registry.pop(key, None)
+        if c is not None:
+            _registry_weight -= c._counted
         if c is None or c.weight > CARRIER_WEIGHT_BOUND:
             c = Carrier(n, k, l)
+        c._counted = c.weight
         _registry[key] = c
-        total = sum(map(attrgetter("weight"), _registry.values()))
-        for old in list(_registry):
-            if total <= CARRIER_WEIGHT_BOUND:
-                break
-            total -= _registry.pop(old).weight
+        _registry_weight += c._counted
+        while _registry_weight > CARRIER_WEIGHT_BOUND:
+            _registry_weight -= _registry.popitem(last=False)[1]._counted
     return c
 
 
 def clear_carriers() -> None:
     """Drop every shared carrier, so that the next sweeps start cold."""
+    global _registry_weight
     with _registry_lock:
         _registry.clear()
+        _registry_weight = 0
 
 
 def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
@@ -264,12 +457,16 @@ def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
     every carrier with n <= 5 and l <= 3.  The result is re-canonicalized
     with its offset updated.
 
-    The sweep runs on the shared :func:`carrier`, so R is evaluated once per
-    (carrier, column) pair that no sweep of the process has met while that
-    carrier was kept: the table outlives the call within the weight bound,
-    in a library session, not across one-shot CLI processes.  Each
-    evaluation column-inserts the k letters of the column into the carrier,
-    so its work does not grow with l.
+    The sweep runs on the shared :func:`carrier`, a finite automaton whose
+    states are carriers and whose inputs are column fillings, so R is
+    evaluated once per (carrier, column) pair that no sweep of the process
+    has met while that carrier was kept: the table outlives the call within
+    the byte bound, in a library session, not across one-shot CLI
+    processes.  A known pair costs one array read.  An evaluation decodes
+    the carrier's rows from its packed key and column-inserts the k letters
+    of the column into them: the insertion does not grow with l, the
+    decoding and copying of the k * l letters does.  The trace's carrier
+    tableaux are built only when read.
     """
     return carrier(p.n, p.k, l).sweep(p)
 
@@ -277,9 +474,10 @@ def evolve(p: BbsState, l: int) -> tuple[BbsState, CarrierTrace]:
 def energy_e(p: BbsState, l: int) -> int:
     """E_l: minus the summed local energies of one width-l carrier pass.
 
-    One sweep of the shared :func:`carrier`, whose table outlives the call
-    within the weight bound, so E_l of many states in one process evaluates
-    R once per distinct (carrier, column) pair the kept carriers hold.
+    One sweep of the shared :func:`carrier`, whose transitions outlive the
+    call within the byte bound, so E_l of many states in one process
+    evaluates R once per distinct (carrier, column) pair the kept carriers
+    hold; the local energies are read off the packed transitions.
     """
     return carrier(p.n, p.k, l).energy(p)
 

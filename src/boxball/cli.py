@@ -11,7 +11,6 @@ import argparse
 import random
 import sys
 from functools import partial
-from operator import attrgetter
 
 from . import sampling
 from .bbs import (
@@ -28,7 +27,7 @@ from .bbs import (
 )
 from .insertion import knuth_equivalent, knuth_neighbors
 from .rmatrix import apply_r, oracle_r, yang_baxter_holds
-from .soliton import SolitonDetectionError, detect, run_experiment
+from .soliton import SolitonDetectionError, detect, run_experiment, soliton_speed
 from .tableau import SemiStandardTableau, TableauError, enumerate_tableaux, restrict
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -140,8 +139,8 @@ def cmd_scatter(args: argparse.Namespace) -> int:
         print(f"no soliton decomposition after {result.steps_run} steps")
         return EXIT_FAIL
     # Scattering keeps each soliton's length and predict_final only swaps a
-    # strictly longer soliton past a shorter one: it stable-sorts by length.
-    starts = sorted(initial.solitons, key=attrgetter("length"))
+    # strictly faster soliton past a slower one: it stable-sorts by speed.
+    starts = sorted(initial.solitons, key=partial(soliton_speed, l=args.l))
     ok = len(result.observed) == len(result.predicted)
     for j, pred in enumerate(result.predicted):
         obs = result.observed[j] if j < len(result.observed) else None

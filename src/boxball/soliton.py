@@ -187,13 +187,26 @@ def predict_two_body(s1: Soliton, s2: Soliton) -> tuple[Soliton, Soliton, int]:
     return Soliton(s2.phase - delta, v_out), Soliton(s1.phase + delta, u_out), delta
 
 
-def predict_final(cfg: SolitonConfig) -> tuple[Soliton, ...]:
-    """Asymptotic outgoing solitons: pair scatterings applied until lengths
-    weakly increase left to right (order-independent by Yang-Baxter)."""
+def soliton_speed(s: Soliton, l: int | None = None) -> int:
+    """Sites a soliton moves per step of the width-l evolution: min(d, l),
+    its length d when ``l`` is None."""
+    return s.length if l is None else min(s.length, l)
+
+
+def predict_final(cfg: SolitonConfig, l: int | None = None) -> tuple[Soliton, ...]:
+    """Asymptotic outgoing solitons of the width-l evolution: pair
+    scatterings applied until speeds weakly increase left to right
+    (order-independent by Yang-Baxter).
+
+    A soliton of length d moves min(d, l) sites a step, so a pair meets only
+    when the left one is strictly faster; two solitons no shorter than l
+    never meet.  With ``l`` None every soliton moves its length, as when l
+    is at least the longest one.
+    """
     sols = list(cfg.solitons)
     while True:
         for i in range(len(sols) - 1):
-            if sols[i].length > sols[i + 1].length:
+            if soliton_speed(sols[i], l) > soliton_speed(sols[i + 1], l):
                 shorter, longer, _ = predict_two_body(sols[i], sols[i + 1])
                 sols[i], sols[i + 1] = shorter, longer
                 break
@@ -281,7 +294,7 @@ def phase_adjust(cfg: SolitonConfig, l: int, t: int) -> tuple[Soliton, ...]:
     """Detected positions at time t converted to phases: each soliton of
     length d has moved min(d, l) per step."""
     return tuple(
-        Soliton(s.phase - min(s.length, l) * t, s.internal) for s in cfg.solitons
+        Soliton(s.phase - soliton_speed(s, l) * t, s.internal) for s in cfg.solitons
     )
 
 
@@ -325,7 +338,7 @@ def run_experiment(cfg: SolitonConfig, l: int, steps: int | None = None) -> Expe
     state = cfg.build_state()
     states = [state]
     detections: list[SolitonConfig | None] = [cfg]
-    predicted = predict_final(cfg)
+    predicted = predict_final(cfg, l)
     budget = steps if steps is not None else MAX_STEPS
     sweep = carrier(state.n, state.k, l).sweep
     t = 0

@@ -1,7 +1,9 @@
+import gc
 import operator
 import random
 import sys
 import threading
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -183,7 +185,8 @@ def r_calls(monkeypatch, cold_carriers):
     calls = []
 
     def counting_r(xrows, yrows, n):
-        calls.append((n, xrows, yrows))
+        # A carrier hands R its rows as slices of its packed key.
+        calls.append((n, tuple(map(tuple, xrows)), yrows))
         return _r_rows(xrows, yrows, n)
 
     monkeypatch.setattr(bbs_mod, "_r_rows", counting_r)
@@ -215,6 +218,7 @@ class TestTransducer:
             for l in range(1, 6):
                 carrier = Carrier(n, k, l)
                 p = random_state(rng, n, k, 12)
+                emitted = {}
                 for _ in range(4):
                     q, trace = carrier.sweep(p)
                     q_ref, trace_ref = reference_evolve(p, l)
@@ -223,10 +227,11 @@ class TestTransducer:
                     assert trace.outputs == trace_ref.outputs
                     assert trace.site_energies == trace_ref.site_energies
                     assert all(t.n == n for t in trace.carriers + trace.outputs)
+                    emitted.update((id(out), out) for out in trace.outputs)
                     p = q
                 # Emitted columns are interned: one output object per filling.
-                outputs = {id(out): out.rows for out, _, _ in carrier.table.values()}
-                assert len(outputs) == len(set(outputs.values())) <= comb(n, k)
+                fillings = {out.rows for out in emitted.values()}
+                assert len(emitted) == len(fillings) <= comb(n, k)
 
     def test_one_r_evaluation_per_distinct_pair(self, r_calls):
         rng = random.Random(7)
@@ -311,10 +316,10 @@ class TestTransducer:
             carrier = Carrier(n, 1, 2)
             _, trace = carrier.sweep(parse_state(f"n={n} k=1 offset=0\n3 3 2\n"))
             assert all(t.n == n for t in trace.carriers + trace.outputs)
-            objects = [*trace.carriers, *trace.outputs, *carrier.carriers]
-            objects.extend(out for out, _, _ in carrier.table.values())
-            sides.append((trace, {id(t) for t in objects}))
-        (trace3, ids3), (trace4, ids4) = sides
+            objects = [*trace.carriers, *trace.outputs, *carrier._columns]
+            # Kept alive with the ids, which a freed tableau could pass on.
+            sides.append((trace, objects, {id(t) for t in objects}))
+        (trace3, _, ids3), (trace4, _, ids4) = sides
         assert trace3 == trace4
         assert not ids3 & ids4
 
@@ -348,7 +353,7 @@ class TestSharedCarriers:
     bound on the total weight."""
 
     def test_weight_stays_within_the_bound_after_every_fetch(self, monkeypatch, cold_carriers):
-        bound = 4000
+        bound = 44_000
         monkeypatch.setattr(bbs_mod, "CARRIER_WEIGHT_BOUND", bound)
         rng = random.Random(41)
         evictions = 0
@@ -363,22 +368,42 @@ class TestSharedCarriers:
                 c.sweep(random_state(rng, n, k, 30))
         assert evictions > 10
 
+    def test_running_total_equals_the_kept_weights(self, monkeypatch, cold_carriers):
+        # Sweeps add what they grew by to the registry's total, and fetches
+        # evict by it: after every fetch and every sweep it equals the kept
+        # carriers' weights, and after every fetch it is within the bound.
+        bound = 30_000
+        monkeypatch.setattr(bbs_mod, "CARRIER_WEIGHT_BOUND", bound)
+        rng = random.Random(43)
+        fetched = []
+        for _ in range(150):
+            n, k, l = rng.choice(SHARED_CASES)
+            fetched.append(bbs_mod.carrier(n, k, l))
+            assert bbs_mod._registry_weight == registry_weight() <= bound
+            # Sweep through carriers fetched earlier too, evicted or not.
+            for c in rng.sample(fetched[-4:], min(2, len(fetched))):
+                c.sweep(random_state(rng, c.n, c.k, 25))
+                assert bbs_mod._registry_weight == registry_weight()
+        assert registry_weight() > bound // 2
+
     def test_a_carrier_over_the_bound_at_its_fetch_starts_cold(self, monkeypatch, cold_carriers):
-        monkeypatch.setattr(bbs_mod, "CARRIER_WEIGHT_BOUND", 500)
+        bound = 1000
+        monkeypatch.setattr(bbs_mod, "CARRIER_WEIGHT_BOUND", bound)
         rng = random.Random(5)
         small = bbs_mod.carrier(3, 1, 1)
         c = bbs_mod.carrier(5, 2, 3)
         c.sweep(random_state(rng, 5, 2, 60))
-        assert c.weight > 500
+        assert c.weight > bound
         # Over the bound: the other carriers go first, then this one starts cold.
         again = bbs_mod.carrier(5, 2, 3)
-        assert again is not c and not again.table
+        assert again is not c and again.weight == Carrier(5, 2, 3).weight
         assert list(bbs_mod._registry) == [(3, 1, 1), (5, 2, 3)]
         assert bbs_mod.carrier(3, 1, 1) is small
         # A rest carrier alone over the bound is handed out, never kept.
-        wide = bbs_mod.carrier(3, 1, 600)
-        assert wide.weight == 600 and (3, 1, 600) not in bbs_mod._registry
-        assert registry_weight() <= 500
+        wide = bbs_mod.carrier(3, 1, 1000)
+        assert wide.weight == Carrier(3, 1, 1000).weight > bound
+        assert (3, 1, 1000) not in bbs_mod._registry
+        assert registry_weight() <= bound
 
     @pytest.mark.parametrize("bound", [0, 10**9], ids=["evict-every-fetch", "unbounded"])
     def test_output_equals_fresh_carriers(self, monkeypatch, cold_carriers, bound):
@@ -395,31 +420,35 @@ class TestSharedCarriers:
     def test_equal_fillings_over_two_alphabets_never_share_entries(self, cold_carriers):
         # Tableau equality ignores n: the n = 3 and n = 4 carriers, fetched in
         # turn, must keep apart every tableau they carry, emit or key by.
+        # Traces build their carriers when read, so every tableau is kept
+        # alive here: a freed one's id could be reused.
         seen = {3: set(), 4: set()}
+        alive = []
         for _ in range(3):
             for n in (3, 4):
                 c = bbs_mod.carrier(n, 1, 2)
                 _, trace = evolve(parse_state(f"n={n} k=1 offset=0\n3 3 2 . 1 3\n"), 2)
                 assert bbs_mod.carrier(n, 1, 2) is c
                 assert all(t.n == n for t in trace.carriers + trace.outputs)
-                objects = [*trace.carriers, *trace.outputs, *c.carriers, *c.columns.values()]
-                objects.extend(out for out, _, _ in c.table.values())
+                objects = [*trace.carriers, *trace.outputs, *c._columns]
                 assert all(t.n == n for t in objects)
-                seen[n] |= {id(t) for t in objects} | {id(v) for v in c.table.values()}
+                alive.extend(objects)
+                seen[n] |= {id(t) for t in objects}
         assert bbs_mod.carrier(3, 1, 2) is not bbs_mod.carrier(4, 1, 2)
         assert not seen[3] & seen[4]
 
     def test_retained_keys_hold_one_rows_object_per_filling(self):
-        # What a kept carrier holds must not keep the swept states alive:
-        # table keys use the carrier's interned fillings, and each carrier's
-        # rows are its interning key.
+        # What a kept carrier holds must not keep the swept states alive: it
+        # keeps one tableau per column filling, keyed by that tableau's rows,
+        # and each carrier as its packed bytes key, one byte a letter here.
         rng = random.Random(3)
         c = Carrier(5, 2, 3)
         for _ in range(4):
             c.sweep(random_state(rng, 5, 2, 30))
-        assert all(rows is c.columns[rows].rows for _, rows in c.table)
-        assert len({id(rows) for _, rows in c.table}) <= comb(5, 2)
-        assert all(map(operator.is_, c.carrier_ids, (t.rows for t in c.carriers)))
+        assert all(rows is c._columns[j].rows for rows, j in c._column_ids.items())
+        assert len(c._column_ids) == len(c._columns) <= comb(5, 2)
+        assert all(type(key) is bytes and len(key) == 2 * 3 for key in c._keys)
+        assert all(map(operator.is_, c._key_ids, c._keys))
 
     def test_second_cli_evolve_makes_no_r_evaluation(self, r_calls, tmp_path, capsys):
         path = tmp_path / "state.txt"
@@ -455,6 +484,80 @@ class TestSharedCarriers:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert [results[i % 8][i // 8] for i in range(len(jobs))] == expected
+
+
+class TestCompactKeys:
+    """A carrier packs its letters in the narrowest array typecode that holds
+    n, or in fixed-width bytes past 64 bits, at any width."""
+
+    @pytest.mark.parametrize("n,width", [(300, 2), (70_000, 4), (2**40, 8), (2**70, 9)])
+    def test_large_alphabets_match_the_per_site_sweep(self, n, width):
+        rng = random.Random(n % 1009)
+        for k in (1, 2, 3):
+            # Letters from 1..k+2 and from the top of each narrower typecode's
+            # range up to n, so that fillings recur.
+            pool = sorted({*range(1, k + 3), *(min(n, 2**b) for b in (8, 16, 32, 64)), n - 1, n})
+            cols = [SemiStandardTableau.column(sorted(rng.sample(pool, k)), n) for _ in range(20)]
+            p = BbsState(n, k, 0, cols)
+            carrier = Carrier(n, k, 4)
+            assert len(carrier._keys[0]) == k * 4 * width
+            for _ in range(3):
+                q, trace = carrier.sweep(p)
+                assert (q, trace) == reference_evolve(p, 4)
+                assert all(t.n == n for t in trace.carriers + trace.outputs)
+                p = q
+
+    @pytest.mark.parametrize("n,k", [(300, 1), (300, 2), (4, 2)])
+    def test_wide_carrier_matches_the_per_site_sweep(self, n, k):
+        l = 10_000
+        rng = random.Random(n + k)
+        vac = vacuum_column(k, n)
+        p = BbsState(n, k, 0, [vac if rng.random() < 0.5 else random_column(rng, k, n) for _ in range(12)])
+        q, trace = Carrier(n, k, l).sweep(p)
+        q_ref, trace_ref = reference_evolve(p, l)
+        assert q == q_ref
+        assert trace.carriers == trace_ref.carriers
+        assert trace.outputs == trace_ref.outputs
+        assert trace.site_energies == trace_ref.site_energies
+        assert all(t.n == n for t in trace.carriers + trace.outputs)
+
+    def test_carrier_over_many_fillings_widens_its_table(self, monkeypatch):
+        # n = 300, k = 2: C(n, k) = 44,850 slots a carrier would be 359 kB,
+        # so the slots grow with the fillings met; they stay right, and a
+        # widened table keeps every transition it knew.
+        rng = random.Random(17)
+        carrier = Carrier(300, 2, 3)
+        states = [random_state(rng, 300, 2, 60) for _ in range(4)]
+        for p in states:
+            assert carrier.sweep(p) == reference_evolve(p, 3)
+        assert 64 < len(carrier._columns) <= carrier._table[1] < comb(300, 2)
+        monkeypatch.setattr(bbs_mod, "_r_rows", None)  # a miss would now raise
+        for p in states:
+            carrier.sweep(p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("l", [3, 40, 300])
+    def test_weight_is_the_retained_bytes(self, k, l):
+        n = k + 3
+        rng = random.Random(100 * k + l)
+        # Built before tracing, which also fills the process-wide cache of
+        # the vacuum column.
+        states = [sparse_state(rng, n, k, 40) for _ in range(6)]
+        tracemalloc.start()
+        try:
+            c = Carrier(n, k, l)
+            for p in states:
+                c.sweep(p)
+            # Tableaux of the states stay alive: count only what the carrier holds.
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            weight = c.weight
+            del c
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * weight <= retained <= 2 * weight, (retained, weight)
 
 
 class TestSweepBound:

@@ -141,6 +141,18 @@ class TestScatter:
         code, out, _ = run(capsys, "scatter", "--input", path, "--l", "3")
         assert (code, out) == (0, SCATTER_GOLDEN)
 
+    def test_equal_speeds_never_meet(self, capsys, state_file):
+        # At --l 1 both solitons move one site a step: no collision is
+        # predicted, and each is paired with its own start.
+        path = state_file("n=3 k=1 offset=0\n3 2 . . 3\n")
+        code, out, _ = run(capsys, "scatter", "--input", path, "--l", "1")
+        assert code == 0
+        assert out.endswith(
+            "soliton 1: phase=0 d=2 internal=2 3\n"
+            "delta=0 predicted=(0, 2 3) observed=(0, 2 3) match=true\n"
+            "soliton 2: phase=4 d=1 internal=3\n"
+            "delta=0 predicted=(4, 3) observed=(4, 3) match=true\n")
+
     def test_non_soliton_input(self, capsys, state_file):
         path = state_file("n=6 k=3 offset=0\n2/4/6\n")
         code, out, _ = run(capsys, "scatter", "--input", path, "--l", "3")

@@ -345,10 +345,10 @@ class TestSweepSteps:
     def test_wide_carriers_met_in_sweeps(self, n, k, l):
         # Carriers a sweep of a dense state meets, far from rest.
         rng = random.Random(n * 100 + k * 10 + l)
-        carrier = Carrier(n, k, l)
-        carrier.sweep(BbsState(n, k, 0, [random_column(rng, k, n) for _ in range(2 * l)]))
-        assert len(carrier.carriers) > l
-        for x in carrier.carriers:
+        _, trace = Carrier(n, k, l).sweep(BbsState(n, k, 0, [random_column(rng, k, n) for _ in range(2 * l)]))
+        carriers = dict.fromkeys(trace.carriers)
+        assert len(carriers) > l
+        for x in carriers:
             y = random_column(rng, k, n)
             assert_is_r(x, y, apply_r(x, y))
 

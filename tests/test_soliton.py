@@ -381,6 +381,59 @@ class TestExperiments:
             assert res.observed is not None
             assert res.all_match, (cfg, l)
 
+    def test_two_solitons_match_at_every_width(self):
+        # A soliton of length d moves min(d, l) sites a step: at widths up to
+        # the shorter length the two never meet, and the prediction keeps them.
+        rng = random.Random(103)
+        widths = met = 0
+        for _ in range(60):
+            cfg = random_two_soliton_config(rng, 6)
+            d1, d2 = (s.length for s in cfg.solitons)
+            for l in range(1, d1 + 2):
+                res = run_experiment(cfg, l)
+                assert res.all_match, (cfg, l)
+                widths += 1
+                met += l > d2
+        assert met < widths
+
+    def test_three_solitons_with_partly_tied_speeds(self):
+        # At width l the speeds min(d, l) of three solitons can tie in part.
+        # Detection cannot split two equal-speed solitons that end adjacent,
+        # so there the evolved state is compared with the predicted
+        # configuration instead.  Where the pairwise rule moves two
+        # equal-length solitons onto each other it fails; both counts are
+        # pinned, so that a fix or a new failure shows.
+        rng = random.Random(107)
+        partly_tied = merged = overlapping = 0
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            n = rng.randint(k + 2, min(k + 4, 6))
+            lengths = [rng.randint(1, 5) for _ in range(3)]
+            solitons, phase = [], rng.randint(0, 2)
+            for d, right in zip(lengths, lengths[1:] + [0]):
+                solitons.append(random_soliton(rng, k, d, n, phase))
+                phase += d + right + rng.randint(0, 2)
+            cfg = SolitonConfig(n, k, tuple(solitons))
+            for l in range(1, max(lengths) + 2):
+                speeds = [min(d, l) for d in lengths]
+                if len(set(speeds)) != 2:
+                    continue
+                partly_tied += 1
+                res = run_experiment(cfg, l)
+                if res.all_match:
+                    continue
+                t = res.steps_run
+                try:
+                    final = SolitonConfig(n, k, tuple(
+                        Soliton(s.phase + min(s.length, l) * t, s.internal) for s in res.predicted))
+                except ValueError:
+                    overlapping += 1
+                    continue
+                assert res.observed is None and final.build_state() == res.states[-1], (cfg, l)
+                merged += 1
+        assert partly_tied > 600
+        assert (merged, overlapping) == (2, 4)
+
     def test_single_soliton_trivial(self):
         sol = Soliton(2, T("1 2 / 2 3 / 4 4", 6))
         cfg = SolitonConfig(6, 3, (sol,))
