@@ -115,11 +115,12 @@ class CarrierTrace:
     """Carrier values and emissions from one sweep; the first and last
     carrier states equal the rest value.
 
-    A sweep keeps only the column ids it read.  It builds ``carriers`` and
-    ``site_energies`` when each is first read, by replaying those ids
-    through its carrier's transitions, so a sweep whose trace is never read
-    builds neither; until then the trace keeps its carrier alive.  Traces
-    compare by their three fields, however they were built.
+    A sweep keeps the column ids it read and each site's emission, -H and
+    the output column's id.  ``site_energies`` is decoded from the
+    emissions, and ``carriers`` replayed from the column ids through the
+    carrier's transitions, each when first read, so a sweep whose trace is
+    never read builds neither; until then the trace keeps its carrier
+    alive.  Traces compare by their three fields, however they were built.
     """
 
     __slots__ = ("_carriers", "outputs", "_site_energies")
@@ -231,7 +232,6 @@ class Carrier:
         self._column_bits = (columns - 1).bit_length()
         self._carrier_shift = self._column_bits + k.bit_length()
         self._column_mask = (1 << self._column_bits) - 1
-        self._energy_mask = (1 << k.bit_length()) - 1
         self._max_stride = columns
         stride = min(columns, _FIRST_STRIDE)
         # The transitions and the slots per carrier, replaced as one value
@@ -319,10 +319,9 @@ class Carrier:
                  for cid in set(ids)}
         return tuple(map(built.__getitem__, ids))
 
-    def _energies(self, js: list[int], sites: int) -> tuple[int, ...]:
-        """The local energies H of a sweep."""
-        packed = self._replay(js, sites)
-        return tuple(map(neg, map(and_, map(rshift, packed, repeat(self._column_bits)), repeat(self._energy_mask))))
+    def _energies(self, emissions: list[int]) -> tuple[int, ...]:
+        """The local energies H of a sweep, from its emissions (-H, output)."""
+        return tuple(map(neg, map(rshift, emissions, repeat(self._column_bits))))
 
     def sweep(self, p: BbsState) -> tuple[BbsState, CarrierTrace]:
         """One time step of the width-l evolution; see :func:`evolve`."""
@@ -339,20 +338,21 @@ class Carrier:
                     if rows not in column_ids:
                         self._add_column(b)
             js = list(map(column_ids.__getitem__, map(_ROWS, p.columns)))
-        shift, mask = self._carrier_shift, self._column_mask
+        shift = self._carrier_shift
+        mask = (1 << shift) - 1
         transitions, stride = self._table
         cid = 0
-        # Only the output column ids are kept: small ints, where the packed
-        # transitions would each be a new int object.  A trace that is read
-        # replays the sweep for the rest.
-        outs: list[int] = []
+        # Only each site's emission, (-H, output column) in the low bits of its
+        # transition, is kept: mostly small ints, where the packed transitions
+        # would each be a new int object.  A trace's carriers are replayed.
+        emissions: list[int] = []
         try:
             for j in js:
                 v = transitions[cid * stride + j]
                 if v < 0:
                     v = self._miss(cid, j)
                     transitions, stride = self._table
-                outs.append(v & mask)
+                emissions.append(v & mask)
                 cid = v >> shift
             # Then vacuum, column id 0, until the carrier is back at rest.
             for _ in range(self.l):
@@ -362,15 +362,15 @@ class Carrier:
                 if v < 0:
                     v = self._miss(cid, 0)
                     transitions, stride = self._table
-                outs.append(v & mask)
+                emissions.append(v & mask)
                 cid = v >> shift
         finally:
             if self.weight != self._counted:
                 _recount(self)
         if cid:
             raise CarrierError(f"carrier did not stabilize within {len(js) + self.l} sites")
-        outputs = tuple(map(self._columns.__getitem__, outs))
-        trace = CarrierTrace(partial(self._tableaux, js, len(outs)), outputs, partial(self._energies, js, len(outs)))
+        outputs = tuple(map(self._columns.__getitem__, map(and_, emissions, repeat(self._column_mask))))
+        trace = CarrierTrace(partial(self._tableaux, js, len(emissions)), outputs, partial(self._energies, emissions))
         return BbsState(p.n, p.k, p.offset, outputs), trace
 
     def energy(self, p: BbsState) -> int:
