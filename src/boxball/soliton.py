@@ -187,21 +187,20 @@ def predict_two_body(s1: Soliton, s2: Soliton) -> tuple[Soliton, Soliton, int]:
     return Soliton(s2.phase - delta, v_out), Soliton(s1.phase + delta, u_out), delta
 
 
-def soliton_speed(s: Soliton, l: int | None = None) -> int:
-    """Sites a soliton moves per step of the width-l evolution: min(d, l),
-    its length d when ``l`` is None."""
-    return s.length if l is None else min(s.length, l)
+def soliton_speed(s: Soliton, l: int) -> int:
+    """Sites a soliton of length d moves per step of the width-l evolution:
+    min(d, l)."""
+    return min(s.length, l)
 
 
-def predict_final(cfg: SolitonConfig, l: int | None = None) -> tuple[Soliton, ...]:
+def predict_final(cfg: SolitonConfig, l: int) -> tuple[Soliton, ...]:
     """Asymptotic outgoing solitons of the width-l evolution: pair
     scatterings applied until speeds weakly increase left to right
     (order-independent by Yang-Baxter).
 
     A soliton of length d moves min(d, l) sites a step, so a pair meets only
     when the left one is strictly faster; two solitons no shorter than l
-    never meet.  With ``l`` None every soliton moves its length, as when l
-    is at least the longest one.
+    never meet.
     """
     sols = list(cfg.solitons)
     while True:

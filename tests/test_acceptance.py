@@ -111,7 +111,7 @@ def test_criterion_4_three_soliton_trajectory():
 def test_criterion_5_scattering_and_factorization():
     cfg = detect(parse_state(THREE_SOLITON_TEXT))
     assert [(s.phase, s.length) for s in cfg.solitons] == [(0, 3), (6, 2), (11, 1)]
-    out = predict_final(cfg)
+    out = predict_final(cfg, 3)
     assert [(s.phase, s.length) for s in out] == [(9, 1), (5, 2), (3, 3)]
     assert out[0].internal == T("2 / 3 / 5", 6)
     assert out[1].internal == T("1 2 / 2 3 / 4 4", 6)

@@ -196,7 +196,8 @@ class TestScatter:
                 sols.append(random_soliton(rng, k, d, n, pos))
                 pos += d + rng.randint(0, 3)
             initial = tuple(sols)
-            outgoing = predict_final(SolitonConfig(n, k, initial))
+            # No soliton is longer than 3, so each moves its length at l = 3.
+            outgoing = predict_final(SolitonConfig(n, k, initial), 3)
             lengths = [s.length for s in outgoing]
             assert lengths == sorted(lengths)
             starts = sorted(initial, key=attrgetter("length"))

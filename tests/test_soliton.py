@@ -453,9 +453,9 @@ class TestPredictFinal:
         a = Soliton(0, T("4", 5))
         b = Soliton(3, T("4 4", 5))
         cfg = SolitonConfig(5, 1, (a, b))
-        assert predict_final(cfg) == (a, b)
+        assert predict_final(cfg, 2) == (a, b)
 
     def test_matches_yang_baxter_route(self):
         cfg = detect(parse_state(THREE_SOLITON_TEXT))
-        out = predict_final(cfg)
+        out = predict_final(cfg, 3)
         assert [(s.phase, s.length) for s in out] == [(9, 1), (5, 2), (3, 3)]
